@@ -14,8 +14,8 @@
 //! additionally need ≥ 50 ms of absolute growth, so micro-walls cannot
 //! flag on jitter). Fewer than two records is a pass: no baseline yet.
 
-use bench::cli;
 use bench::history::{self, DiffEntry};
+use shm_scenario::cli::value_of;
 use std::fmt::Write as _;
 
 fn fmt_val(v: f64) -> String {
@@ -48,8 +48,8 @@ fn artifact_json(entries: &[DiffEntry], regressions: usize) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let path = cli::value_of(&args, "--history").unwrap_or_else(|| "BENCH_history.jsonl".into());
-    let out_path = cli::value_of(&args, "--out");
+    let path = value_of(&args, "--history").unwrap_or_else(|| "BENCH_history.jsonl".into());
+    let out_path = value_of(&args, "--out");
     let strict = args.iter().any(|a| a == "--strict");
 
     let text = std::fs::read_to_string(&path)

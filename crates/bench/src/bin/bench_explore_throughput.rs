@@ -20,6 +20,7 @@
 use bench::cli;
 use bench::timing::{bench, report};
 use shm_explore::{check, Bounds, ScenarioSpec};
+use shm_scenario::cli::{int_flag, value_of};
 use shm_sim::CostModel;
 use signaling::algorithms::SingleWaiter;
 
@@ -74,7 +75,7 @@ fn case(label: &str, threads: usize, mem_budget: Option<usize>) -> (u64, f64, f6
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let threads = cli::apply_threads(&args);
+    let threads = cli::set_threads(cli::or_exit(int_flag(&args, "--threads", "threads")));
 
     let (explored, serial_sps, serial_ms) = case("serial/unbudgeted", 1, None);
     let (_, serial_spill_sps, _) = case("serial/64k-budget", 1, Some(BUDGET));
@@ -87,7 +88,7 @@ fn main() {
         (1.0 - threaded_spill_sps / threaded_sps) * 100.0,
     );
 
-    if let Some(path) = cli::value_of(&args, "--json") {
+    if let Some(path) = value_of(&args, "--json") {
         let json = format!(
             concat!(
                 "{{\"experiment\": \"bench_explore_throughput\", \"iters\": {}, ",

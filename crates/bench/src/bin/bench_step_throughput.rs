@@ -18,6 +18,7 @@
 
 use bench::cli;
 use bench::timing::{bench, report};
+use shm_scenario::cli::{int_flag, value_of};
 use shm_sim::{CostModel, RoundRobin, Simulator};
 use signaling::algorithms::Broadcast;
 use signaling::{Role, Scenario};
@@ -54,7 +55,7 @@ fn run_once() -> u64 {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let threads = cli::apply_threads(&args);
+    let threads = cli::set_threads(cli::or_exit(int_flag(&args, "--threads", "threads")));
 
     // Serial: one simulator, fixed deterministic step count.
     let steps = run_once();
@@ -78,7 +79,7 @@ fn main() {
          in {wall_ms:.3} ms, {threaded_sps:.0} steps/sec"
     );
 
-    if let Some(path) = cli::value_of(&args, "--json") {
+    if let Some(path) = value_of(&args, "--json") {
         let json = format!(
             concat!(
                 "{{\"experiment\": \"bench_step_throughput\", \"iters\": {}, ",

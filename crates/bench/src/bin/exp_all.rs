@@ -8,9 +8,10 @@
 //! per-experiment wall times to `BENCH_experiments.json` — the repo's
 //! wall-time trajectory — plus the `bench_step_throughput` steps/sec and
 //! `bench_explore_throughput` states/sec entries (`total_wall_ms` still
-//! sums E1–E10 only; the microbenches ride along as extra rows). Pass `--canon-dir DIR` to have E1/E2/E5/E6/E8/E9/E10
-//! write canonical (timing-free) row JSON into `DIR` for byte-equality
-//! determinism diffs between thread counts. Pass `--obs-dir DIR` to have
+//! sums E1–E10 only; the microbenches ride along as extra rows). Pass
+//! `--canon-dir DIR` to have every experiment write its canonical
+//! (timing-free) row JSON to `DIR/e1.json` … `DIR/e10.json` for
+//! byte-equality determinism diffs between thread counts. Pass `--obs-dir DIR` to have
 //! every child write `DIR/<bin>.metrics.json`, `DIR/<bin>.trace.json`,
 //! `DIR/<bin>.progress.jsonl`, and `DIR/<bin>.profile.json` (deterministic
 //! metrics report, Chrome trace, sorted progress frames, span-time
@@ -22,16 +23,18 @@
 //! `BENCH_history.jsonl` — the cross-PR perf trajectory `bench_diff`
 //! gates on.
 
-use bench::{cli, history};
+use bench::history;
+use shm_scenario::cli::value_of;
+use shm_scenario::json::{self, Value};
 use std::process::Command;
 use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let json = args.iter().any(|a| a == "--json");
-    let threads = cli::value_of(&args, "--threads");
-    let canon_dir = cli::value_of(&args, "--canon-dir");
-    let obs_dir = cli::value_of(&args, "--obs-dir");
+    let threads = value_of(&args, "--threads");
+    let canon_dir = value_of(&args, "--canon-dir");
+    let obs_dir = value_of(&args, "--obs-dir");
     for dir in canon_dir.iter().chain(&obs_dir) {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("create {dir}: {e}"));
     }
@@ -47,17 +50,6 @@ fn main() {
         "exp_e9_explore",
         "exp_e10_pct",
     ];
-    // Which binaries accept --canon, and the canonical file each writes.
-    let canon_name = |bin: &str| match bin {
-        "exp_e1_cc_upper" => Some("e1.json"),
-        "exp_e2_dsm_lower" => Some("e2.json"),
-        "exp_e5_messages" => Some("e5.json"),
-        "exp_e6_mutex" => Some("e6.json"),
-        "exp_e8_transformation" => Some("e8.json"),
-        "exp_e9_explore" => Some("e9.json"),
-        "exp_e10_pct" => Some("e10.json"),
-        _ => None,
-    };
     // When invoked via cargo, sibling binaries sit next to us.
     let me = std::env::current_exe().expect("current exe");
     let dir = me.parent().expect("bin dir");
@@ -70,8 +62,10 @@ fn main() {
         if let Some(t) = &threads {
             cmd.env("CC_DSM_THREADS", t);
         }
-        if let (Some(cdir), Some(name)) = (&canon_dir, canon_name(bin)) {
-            cmd.arg("--canon").arg(format!("{cdir}/{name}"));
+        if let Some(cdir) = &canon_dir {
+            // `exp_e9_explore` writes `e9.json`, and so on.
+            let kind = bin.split('_').nth(1).expect("exp_<kind>_<name>");
+            cmd.arg("--canon").arg(format!("{cdir}/{kind}.json"));
         }
         if let Some(odir) = &obs_dir {
             cmd.arg("--metrics")
@@ -114,25 +108,42 @@ fn main() {
         // tax) trajectories are tracked PR-over-PR next to the wall times,
         // but they are excluded from `total_wall_ms` (that figure is the
         // E1–E10 suite).
-        let bench_entries: Vec<String> = ["bench_step_throughput", "bench_explore_throughput"]
-            .iter()
-            .map(|bin| {
-                let tmp = std::env::temp_dir().join(format!("{bin}.json"));
-                let mut cmd = Command::new(dir.join(bin));
-                if let Some(t) = &threads {
-                    cmd.env("CC_DSM_THREADS", t);
+        // Each microbench reports `<mode>_<unit>` throughput fields, which
+        // become `<metric>.<mode>` perf-history metrics.
+        let mut metrics = std::collections::BTreeMap::new();
+        let mut bench_entries = Vec::new();
+        for (bin, unit, metric) in [
+            ("bench_step_throughput", "_steps_per_sec", "steps_per_sec"),
+            (
+                "bench_explore_throughput",
+                "_states_per_sec",
+                "explore_states_per_sec",
+            ),
+        ] {
+            let tmp = std::env::temp_dir().join(format!("{bin}.json"));
+            let mut cmd = Command::new(dir.join(bin));
+            if let Some(t) = &threads {
+                cmd.env("CC_DSM_THREADS", t);
+            }
+            cmd.arg("--json").arg(&tmp);
+            let status = cmd
+                .status()
+                .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"));
+            assert!(status.success(), "{bin} failed");
+            let entry = std::fs::read_to_string(&tmp)
+                .unwrap_or_else(|e| panic!("read {bin} json: {e}"))
+                .trim()
+                .to_string();
+            let Ok(Value::Obj(fields)) = json::parse(&entry) else {
+                panic!("{bin} wrote a non-object: {entry}");
+            };
+            for (field, v) in &fields {
+                if let (Some(mode), Some(v)) = (field.strip_suffix(unit), v.as_f64()) {
+                    metrics.insert(format!("{metric}.{mode}"), v);
                 }
-                cmd.arg("--json").arg(&tmp);
-                let status = cmd
-                    .status()
-                    .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"));
-                assert!(status.success(), "{bin} failed");
-                std::fs::read_to_string(&tmp)
-                    .unwrap_or_else(|e| panic!("read {bin} json: {e}"))
-                    .trim()
-                    .to_string()
-            })
-            .collect();
+            }
+            bench_entries.push(entry);
+        }
 
         let threads_json = threads.unwrap_or_else(|| shm_pool::threads().to_string());
         let total: f64 = walls.iter().map(|(_, w)| w).sum();
@@ -155,40 +166,10 @@ fn main() {
         // throughput, and (when a canon dir is present) the E9 memory
         // trajectory. `bench_diff` compares the latest record against the
         // per-metric median of the previous runs.
-        let mut metrics = std::collections::BTreeMap::new();
         for (bin, wall_ms) in &walls {
             metrics.insert(format!("wall_ms.{bin}"), *wall_ms);
         }
         metrics.insert("wall_ms.total".to_string(), total);
-        for entry in &bench_entries {
-            let Some(name) = history::json_string(entry, "experiment") else {
-                continue;
-            };
-            let mut put = |metric: &str, field: &str| {
-                if let Some(v) = history::json_number(entry, field) {
-                    metrics.insert(metric.to_string(), v);
-                }
-            };
-            match name.as_str() {
-                "bench_step_throughput" => {
-                    put("steps_per_sec.serial", "serial_steps_per_sec");
-                    put("steps_per_sec.threaded", "threaded_steps_per_sec");
-                }
-                "bench_explore_throughput" => {
-                    put("explore_states_per_sec.serial", "serial_states_per_sec");
-                    put(
-                        "explore_states_per_sec.serial_spill",
-                        "serial_spill_states_per_sec",
-                    );
-                    put("explore_states_per_sec.threaded", "threaded_states_per_sec");
-                    put(
-                        "explore_states_per_sec.threaded_spill",
-                        "threaded_spill_states_per_sec",
-                    );
-                }
-                _ => {}
-            }
-        }
         if let (Some(&serial), Some(&spill)) = (
             metrics.get("explore_states_per_sec.serial"),
             metrics.get("explore_states_per_sec.serial_spill"),
@@ -205,9 +186,12 @@ fn main() {
             // summed over rows they give the suite's logical peak/spill
             // figures.
             if let Ok(e9) = std::fs::read_to_string(format!("{cdir}/e9.json")) {
+                let e9 = json::parse(&e9).unwrap_or_else(|e| panic!("bad e9.json: {e}"));
                 let sum_of = |field: &str| -> f64 {
-                    e9.lines()
-                        .filter_map(|l| history::json_number(l, field))
+                    e9.as_arr()
+                        .unwrap_or_default()
+                        .iter()
+                        .filter_map(|row| row.get(field).and_then(Value::as_f64))
                         .sum()
                 };
                 metrics.insert(

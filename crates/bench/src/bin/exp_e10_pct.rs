@@ -6,15 +6,10 @@
 //!
 //! Run with: `cargo run --release -p bench --bin exp_e10_pct`
 //!
-//! Pass `--threads N` to set the pool size (1 = exact serial path),
-//! `--sizes 8,16,32` to override the waiter counts, `--seed N` to override
-//! the base sampling seed, and `--canon FILE` to write the canonical row
-//! JSON for byte-equality determinism checks. `--mem-budget BYTES`
-//! (`64k`/`512m`/`1g` accepted) caps the end-state fingerprint coverage
-//! set; beyond it keys spill to delta-compressed disk runs with every
-//! verdict and count unchanged. Observability: `--metrics` /
-//! `--trace-chrome` / `--trace-jsonl` / `--obs-summary` / `--trace-wall`
-//! (see [`bench::cli::ObsFlags`]).
+//! Scenario flags: `--sizes 8,16,32`, `--seed N` (base sampling seed),
+//! `--max-polls N`, `--threads N`, `--algorithm`/`--model` row filters, and
+//! `--mem-budget BYTES`, which caps the end-state fingerprint coverage set
+//! (beyond it keys spill to disk with every verdict and count unchanged).
 //!
 //! Exits nonzero when the sampling refutes the repo's claims: an
 //! in-contract Specification 4.1 violation in a shipped algorithm, a missed
@@ -22,104 +17,11 @@
 //! counterexample that fails audit re-validation. Sampling is never
 //! exhaustive, so — unlike E9 — a clean row means "no violation within the
 //! documented budget", not absence of one.
-
-use bench::table::{header, row};
-use bench::{canon, cli, e10_pct_with, E10_DEPTH_D, E10_SCHEDULES, E10_STEPS};
+//!
+//! Shared flags (see [`bench::cli`]): `--canon FILE` writes the canonical
+//! row JSON — the same bytes `bench::run::run_manifest` returns for this
+//! manifest — and the observability flags of [`bench::cli::ObsFlags`].
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let manifest = cli::manifest_or_exit(bench::ExperimentKind::E10, &args);
-    let _threads = cli::apply_threads(&args);
-    let canon_path = cli::value_of(&args, "--canon");
-    let sizes = manifest.sizes_usize();
-    let pct_seed = manifest.seed.expect("normalized");
-    let mem_budget = manifest.mem_budget_usize();
-    let obs = cli::obs_flags(&args);
-    let obs_col = cli::obs_install(&obs);
-    println!(
-        "E10: seeded PCT exploration, {E10_SCHEDULES} schedules/row at depth d={E10_DEPTH_D} \
-         ({} change points), {E10_STEPS}-step budget, base seed {pct_seed:#x}\n",
-        E10_DEPTH_D - 1
-    );
-    let widths = [15, 5, 4, 9, 12, 12, 12, 11];
-    header(&[
-        ("algorithm", 15),
-        ("model", 5),
-        ("n", 4),
-        ("terminals", 9),
-        ("distinct fp", 12),
-        ("violations", 12),
-        ("in-contract", 12),
-        ("max sig RMR", 11),
-    ]);
-    let rows = e10_pct_with(
-        &sizes,
-        manifest.max_polls.expect("normalized"),
-        pct_seed,
-        mem_budget,
-    );
-    for r in &rows {
-        row(
-            &[
-                r.algorithm.clone(),
-                r.model.into(),
-                r.n.to_string(),
-                r.terminals.to_string(),
-                r.distinct_fingerprints.to_string(),
-                r.violations_found.to_string(),
-                r.violations_in_contract.to_string(),
-                r.max_signaler_rmrs.to_string(),
-            ],
-            &widths,
-        );
-    }
-    if let Some(path) = canon_path {
-        std::fs::write(&path, canon::e10_json(&rows))
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("\nwrote {path}");
-    }
-    cli::obs_finish(&obs, obs_col.as_ref());
-    let mut failures = Vec::new();
-    for r in &rows {
-        if r.algorithm == "seeded-buggy" {
-            if r.violations_in_contract == 0 {
-                failures.push(format!(
-                    "{} seed {:?} ({}, n={}): negative control not caught within {} schedules",
-                    r.algorithm, r.seed, r.model, r.n, r.schedules
-                ));
-            } else if let Some(cx) = &r.counterexample {
-                println!(
-                    "\n{} seed {:?} ({}, n={}) counterexample: {cx}",
-                    r.algorithm, r.seed, r.model, r.n
-                );
-                if !cx.contains("\"audit_clean\":true") {
-                    failures.push(format!(
-                        "{} seed {:?} ({}, n={}): shrunk counterexample failed audit",
-                        r.algorithm, r.seed, r.model, r.n
-                    ));
-                }
-            }
-        } else if r.violations_in_contract > 0 {
-            failures.push(format!(
-                "{} ({}, n={}): {} in-contract spec violation(s): {}",
-                r.algorithm,
-                r.model,
-                r.n,
-                r.violations_in_contract,
-                r.counterexample.as_deref().unwrap_or("<no counterexample>")
-            ));
-        }
-    }
-    println!("\npaper tie-in: the §6 lower-bound sweeps run at n = 8..32, far beyond");
-    println!("E9's exhaustive reach. PCT samples priority schedules with a known");
-    println!("guarantee (>= 1/(n*k^(d-1)) per d-deep bug), so every seeded fault the");
-    println!("controls plant must surface within the documented budget; shipped");
-    println!("algorithms must stay clean under the same sampling pressure.");
-    if !failures.is_empty() {
-        eprintln!("\nE10 FAILURES:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
+    bench::cli::main(bench::ExperimentKind::E10);
 }

@@ -2,52 +2,12 @@
 //!
 //! Run with: `cargo run --release -p bench --bin exp_e1_cc_upper`
 //!
-//! Pass `--threads N` to set the pool size (1 = exact serial path) and
-//! `--canon FILE` to write the canonical row JSON for byte-equality
-//! determinism checks. Observability: `--metrics` / `--trace-chrome` /
-//! `--trace-jsonl` / `--obs-summary` / `--trace-wall` (see
-//! [`bench::cli::ObsFlags`]).
-
-use bench::table::{header, row};
-use bench::{canon, cli, e1_cc_upper};
+//! Scenario flags: `--sizes 4,16`, `--polls N`, `--threads N`.
+//!
+//! Shared flags (see [`bench::cli`]): `--canon FILE` writes the canonical
+//! row JSON — the same bytes `bench::run::run_manifest` returns for this
+//! manifest — and the observability flags of [`bench::cli::ObsFlags`].
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let manifest = cli::manifest_or_exit(bench::ExperimentKind::E1, &args);
-    let _threads = cli::apply_threads(&args);
-    let canon_path = cli::value_of(&args, "--canon");
-    let obs = cli::obs_flags(&args);
-    let obs_col = cli::obs_install(&obs);
-    println!("E1: the single-Boolean algorithm (§5), waiters poll 25x before the signal\n");
-    let widths = [18, 10, 8, 18, 12];
-    header(&[
-        ("model", 18),
-        ("waiters", 10),
-        ("polls", 8),
-        ("max RMR/process", 18),
-        ("total RMRs", 12),
-    ]);
-    let sizes: Vec<u32> = manifest.sizes_usize().iter().map(|&s| s as u32).collect();
-    let rows = e1_cc_upper(&sizes, manifest.polls.expect("normalized") as u32);
-    for r in &rows {
-        row(
-            &[
-                r.model.into(),
-                r.n_waiters.to_string(),
-                r.polls.to_string(),
-                r.max_rmrs_per_proc.to_string(),
-                r.total_rmrs.to_string(),
-            ],
-            &widths,
-        );
-    }
-    if let Some(path) = canon_path {
-        std::fs::write(&path, canon::e1_json(&rows))
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("\nwrote {path}");
-    }
-    cli::obs_finish(&obs, obs_col.as_ref());
-    println!("\npaper: O(1) RMRs/process, wait-free, reads+writes, O(1) space (CC).");
-    println!("shape check: CC rows stay at <= 3 RMRs/process for every N; the DSM rows");
-    println!("grow linearly with the poll count — the gap the rest of the paper makes rigorous.");
+    bench::cli::main(bench::ExperimentKind::E1);
 }

@@ -2,29 +2,30 @@
 //!
 //! Run with: `cargo run --release -p bench --bin exp_e2_dsm_lower`
 //!
-//! Pass `--json` to also write the rows (including per-phase wall-clock
-//! timings of the incremental replay engine) to `BENCH_adversary.json`.
-//! Pass `--audit` to shadow-execute every phase's final history under naive
-//! reference implementations of all four cost models and diff it against
-//! the incremental path; the process exits nonzero on any divergence or
-//! in-contract safety violation. Pass `--sizes 32,64` to override the
-//! default population sizes, `--threads N` to set the pool size (default:
-//! `CC_DSM_THREADS` or available parallelism; 1 = exact serial path),
-//! `--speedup` to re-run the sweep at `--threads 1` and record per-phase
-//! parallel speedups, and `--canon FILE` to write the canonical
-//! (timing-free) row JSON for byte-equality determinism checks.
-//!
-//! Observability: `--metrics out.json`, `--trace-chrome out.json`,
-//! `--trace-jsonl out.jsonl`, `--obs-summary`, `--trace-wall` (see
-//! [`bench::cli::ObsFlags`]). With a collector installed each row also
+//! Scenario flags: `--sizes 32,64`, `--threads N` (default:
+//! `CC_DSM_THREADS` or available parallelism; 1 = exact serial path), and
+//! `--audit`, which shadow-executes every phase's final history under
+//! naive reference implementations of all four cost models and diffs it
+//! against the incremental path; the process exits nonzero on any
+//! divergence or in-contract safety violation. Shared flags (see
+//! [`bench::cli`]): `--canon FILE` and the observability flags of
+//! [`bench::cli::ObsFlags`]. With a collector installed each row also
 //! carries a compact `obs` block of its deterministic counter totals, in
-//! both `--canon` and `BENCH_adversary.json` output. Under `--speedup` the
-//! collector is cleared before the serial re-run, so the sink files cover
-//! exactly one sweep (the serial one — byte-identical to the parallel
-//! sweep's recording by determinism).
+//! both `--canon` and `BENCH_adversary.json` output.
+//!
+//! On top of the shared pieces, E2 has two outputs of its own: `--json`
+//! writes the rows (including per-phase wall-clock timings of the
+//! incremental replay engine) to `BENCH_adversary.json`, and `--speedup`
+//! re-runs the sweep at `--threads 1`, asserts its canonical rows equal
+//! the parallel ones, and records per-phase parallel speedups. Under
+//! `--speedup` the collector is cleared before the serial re-run, so the
+//! sink files cover exactly one sweep (the serial one — byte-identical to
+//! the parallel sweep's recording by determinism).
 
-use bench::table::{f2, header, row};
-use bench::{canon, cli, e2_dsm_lower_with, E2Row};
+use bench::cli::Session;
+use bench::run::{self, Rows};
+use bench::E2Row;
+use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Ratio rendered as JSON: `serial / parallel`, `null` when not measured or
@@ -36,27 +37,32 @@ fn speedup_json(serial: Option<f64>, parallel: f64) -> String {
     }
 }
 
+/// The per-phase wall times of a row, in [`PHASES`] order.
+fn phase_ms(r: &E2Row) -> [f64; 5] {
+    let t = &r.timings;
+    [
+        t.record_ms,
+        t.rounds_ms,
+        t.chase_ms,
+        t.discovery_ms,
+        t.total_ms(),
+    ]
+}
+
+const PHASES: [&str; 5] = ["record", "rounds", "chase", "discovery", "total"];
+
 fn row_json(r: &E2Row, threads: usize, serial: Option<&E2Row>) -> String {
-    let audit_clean = r
-        .audit_clean
-        .map_or_else(|| "null".to_string(), |c| c.to_string());
-    // The divergence is already a JSON object; embed it verbatim.
-    let audit_divergence = r.audit_divergence.clone().unwrap_or_else(|| "null".into());
-    // So is the obs block (deterministic counter totals for this row).
-    let obs = r.obs.clone().unwrap_or_else(|| "null".into());
-    format!(
+    // The divergence and the obs block are already JSON; embed them verbatim.
+    let embed = |v: &Option<String>| v.clone().unwrap_or_else(|| "null".into());
+    let mut out = format!(
         concat!(
             "  {{\"algorithm\": \"{}\", \"n\": {}, \"stabilized\": {}, ",
             "\"stable\": {}, \"chase_signaler_rmrs\": {}, \"chase_erased\": {}, ",
             "\"blocked\": {}, \"amortized\": {:.4}, \"violation\": {}, ",
             "\"out_of_contract\": {}, \"audit_clean\": {}, \"audit_divergence\": {}, ",
-            "\"obs\": {}, \"threads\": {}, \"iters\": 1, ",
-            "\"record_ms\": {:.3}, \"rounds_ms\": {:.3}, \"chase_ms\": {:.3}, ",
-            "\"discovery_ms\": {:.3}, \"total_ms\": {:.3}, ",
-            "\"record_speedup\": {}, \"rounds_speedup\": {}, \"chase_speedup\": {}, ",
-            "\"discovery_speedup\": {}, \"total_speedup\": {}}}"
+            "\"obs\": {}, \"threads\": {}, \"iters\": 1"
         ),
-        r.algorithm.replace('\\', "\\\\").replace('"', "\\\""),
+        shm_obs::json::escape(&r.algorithm),
         r.n,
         r.stabilized,
         r.stable,
@@ -66,24 +72,23 @@ fn row_json(r: &E2Row, threads: usize, serial: Option<&E2Row>) -> String {
         r.amortized,
         r.violation,
         r.out_of_contract,
-        audit_clean,
-        audit_divergence,
-        obs,
+        r.audit_clean
+            .map_or_else(|| "null".to_string(), |c| c.to_string()),
+        embed(&r.audit_divergence),
+        embed(&r.obs),
         threads,
-        r.timings.record_ms,
-        r.timings.rounds_ms,
-        r.timings.chase_ms,
-        r.timings.discovery_ms,
-        r.timings.total_ms(),
-        speedup_json(serial.map(|s| s.timings.record_ms), r.timings.record_ms),
-        speedup_json(serial.map(|s| s.timings.rounds_ms), r.timings.rounds_ms),
-        speedup_json(serial.map(|s| s.timings.chase_ms), r.timings.chase_ms),
-        speedup_json(
-            serial.map(|s| s.timings.discovery_ms),
-            r.timings.discovery_ms
-        ),
-        speedup_json(serial.map(|s| s.timings.total_ms()), r.timings.total_ms()),
-    )
+    );
+    let ms = phase_ms(r);
+    for (phase, ms) in PHASES.iter().zip(ms) {
+        let _ = write!(out, ", \"{phase}_ms\": {ms:.3}");
+    }
+    let serial_ms = serial.map(phase_ms);
+    for (i, phase) in PHASES.iter().enumerate() {
+        let speedup = speedup_json(serial_ms.map(|s| s[i]), ms[i]);
+        let _ = write!(out, ", \"{phase}_speedup\": {speedup}");
+    }
+    out.push('}');
+    out
 }
 
 fn to_json(
@@ -92,25 +97,16 @@ fn to_json(
     wall_ms: f64,
     serial: Option<(&[E2Row], f64)>,
 ) -> String {
-    let (serial_wall, speedup) = serial.map_or_else(
-        || ("null".to_string(), "null".to_string()),
-        |(_, sw)| {
-            (
-                format!("{sw:.3}"),
-                if wall_ms > 1e-9 {
-                    format!("{:.3}", sw / wall_ms)
-                } else {
-                    "null".to_string()
-                },
-            )
-        },
-    );
+    let serial_wall = serial.map_or_else(|| "null".to_string(), |(_, sw)| format!("{sw:.3}"));
     let mut out = format!(
         concat!(
             "{{\"threads\": {}, \"wall_ms\": {:.3}, \"serial_wall_ms\": {}, ",
             "\"speedup\": {}, \"rows\": [\n"
         ),
-        threads, wall_ms, serial_wall, speedup,
+        threads,
+        wall_ms,
+        serial_wall,
+        speedup_json(serial.map(|(_, sw)| sw), wall_ms),
     );
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&row_json(r, threads, serial.map(|(s, _)| &s[i])));
@@ -121,75 +117,27 @@ fn to_json(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json = args.iter().any(|a| a == "--json");
-    let manifest = cli::manifest_or_exit(bench::ExperimentKind::E2, &args);
-    let audit = manifest.audit;
-    let speedup = args.iter().any(|a| a == "--speedup");
-    let canon_path = cli::value_of(&args, "--canon");
-    let obs = cli::obs_flags(&args);
-    let sizes = manifest.sizes_usize();
-    let threads = cli::apply_threads(&args);
-    let obs_col = cli::obs_install(&obs);
-    println!("E2: the §6 adversary (erase / roll forward / wild goose chase), DSM model\n");
-    let widths = [15, 6, 11, 8, 11, 8, 8, 10, 10, 9, 7, 10, 10, 10];
-    header(&[
-        ("algorithm", 15),
-        ("N", 6),
-        ("stabilized", 11),
-        ("stable", 8),
-        ("chaseRMRs", 11),
-        ("erased", 8),
-        ("blocked", 8),
-        ("amortized", 10),
-        ("violation", 10),
-        ("outOfCtr", 9),
-        ("audit", 7),
-        ("record_ms", 10),
-        ("rounds_ms", 10),
-        ("chase_ms", 10),
-    ]);
+    let session = Session::start(bench::ExperimentKind::E2);
+    let json = session.args.iter().any(|a| a == "--json");
+    let speedup = session.args.iter().any(|a| a == "--speedup");
+    let threads = shm_pool::threads();
     let t = Instant::now();
-    let rows = e2_dsm_lower_with(&sizes, audit);
+    let rows = session.run();
     let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-    for r in &rows {
-        row(
-            &[
-                r.algorithm.clone(),
-                r.n.to_string(),
-                r.stabilized.to_string(),
-                r.stable.to_string(),
-                r.chase_signaler_rmrs.to_string(),
-                r.chase_erased.to_string(),
-                r.blocked.to_string(),
-                f2(r.amortized),
-                r.violation.to_string(),
-                r.out_of_contract.to_string(),
-                r.audit_clean
-                    .map_or_else(|| "-".to_string(), |c| if c { "ok" } else { "FAIL" }.into()),
-                f2(r.timings.record_ms),
-                f2(r.timings.rounds_ms),
-                f2(r.timings.chase_ms),
-            ],
-            &widths,
-        );
-    }
     let serial = speedup.then(|| {
         println!("\n--speedup: re-running the sweep at --threads 1 ...");
         // Start the recording over: the sink files should cover one sweep,
         // not the parallel run plus this re-run. Determinism makes the
         // serial recording byte-identical to the parallel one anyway.
-        if let Some(c) = &obs_col {
-            c.clear();
-        }
+        session.restart_recording();
         shm_pool::set_threads(1);
         let t = Instant::now();
-        let serial_rows = e2_dsm_lower_with(&sizes, audit);
+        let serial_rows = run::run(&session.manifest);
         let serial_wall = t.elapsed().as_secs_f64() * 1e3;
         shm_pool::set_threads(threads);
         assert_eq!(
-            canon::e2_json(&serial_rows),
-            canon::e2_json(&rows),
+            serial_rows.canon_json(),
+            rows.canon_json(),
             "serial and parallel sweeps must agree on every deterministic field"
         );
         println!(
@@ -202,46 +150,20 @@ fn main() {
     if json {
         let path = "BENCH_adversary.json";
         let body = to_json(
-            &rows,
+            e2_rows(&rows),
             threads,
             wall_ms,
-            serial.as_ref().map(|(r, w)| (r.as_slice(), *w)),
+            serial.as_ref().map(|(r, w)| (e2_rows(r), *w)),
         );
         std::fs::write(path, body).expect("write BENCH_adversary.json");
         println!("\nwrote {path}");
     }
-    if let Some(path) = canon_path {
-        std::fs::write(&path, canon::e2_json(&rows))
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("wrote {path}");
-    }
-    cli::obs_finish(&obs, obs_col.as_ref());
-    println!("\npaper: for any c there is a history with k participants and > c*k RMRs");
-    println!("(reads/writes/CAS/LLSC). shape check: broadcast's amortized column grows");
-    println!("~linearly with N; cc-flag never stabilizes (waiters pay); single-waiter's");
-    println!("spec failures are out-of-contract (its §7 premise is one waiter; the");
-    println!("adversary drives many), not violations; queue-faa (outside the primitive");
-    println!("class) blocks every erasure and stays flat.");
-    if audit {
-        let divergent: Vec<&E2Row> = rows
-            .iter()
-            .filter(|r| r.audit_clean == Some(false))
-            .collect();
-        for r in &divergent {
-            eprintln!(
-                "AUDIT DIVERGENCE: {} n={}: {}",
-                r.algorithm,
-                r.n,
-                r.audit_divergence.as_deref().unwrap_or("?")
-            );
-        }
-        let violations: Vec<&E2Row> = rows.iter().filter(|r| r.violation).collect();
-        for r in &violations {
-            eprintln!("IN-CONTRACT VIOLATION: {} n={}", r.algorithm, r.n);
-        }
-        if !divergent.is_empty() || !violations.is_empty() {
-            std::process::exit(1);
-        }
-        println!("\naudit: all phases clean under all four cost models");
+    session.finish(&rows);
+}
+
+fn e2_rows(rows: &Rows) -> &[E2Row] {
+    match rows {
+        Rows::E2(rows) => rows,
+        other => unreachable!("E2 manifest ran {other:?}"),
     }
 }

@@ -2,47 +2,12 @@
 //!
 //! Run with: `cargo run --release -p bench --bin exp_e3_variants`
 //!
-//! Pass `--threads N` to set the pool size (1 = exact serial path).
-//! Observability: `--metrics` / `--trace-chrome` / `--trace-jsonl` /
-//! `--obs-summary` / `--trace-wall` (see [`bench::cli::ObsFlags`]).
-
-use bench::table::{f2, header, row};
-use bench::{cli, e3_variants};
+//! Scenario flags: `--waiters N`, `--polls N`, `--threads N`.
+//!
+//! Shared flags (see [`bench::cli`]): `--canon FILE` writes the canonical
+//! row JSON — the same bytes `bench::run::run_manifest` returns for this
+//! manifest — and the observability flags of [`bench::cli::ObsFlags`].
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let manifest = cli::manifest_or_exit(bench::ExperimentKind::E3, &args);
-    let _threads = cli::apply_threads(&args);
-    let obs = cli::obs_flags(&args);
-    let obs_col = cli::obs_install(&obs);
-    println!("E3: §7 signaling variants, 32 waiters (1 for single-waiter), 25 polls each\n");
-    let widths = [22, 5, 14, 13, 10, 30];
-    header(&[
-        ("algorithm", 22),
-        ("model", 5),
-        ("maxWaiterRMR", 14),
-        ("signalerRMR", 13),
-        ("amortized", 10),
-        ("paper bound", 30),
-    ]);
-    for r in e3_variants(
-        manifest.waiters.expect("normalized") as u32,
-        manifest.polls.expect("normalized") as u32,
-    ) {
-        row(
-            &[
-                r.algorithm.clone(),
-                r.model.into(),
-                r.max_waiter_rmrs.to_string(),
-                r.signaler_rmrs.to_string(),
-                f2(r.amortized),
-                r.paper_bound.into(),
-            ],
-            &widths,
-        );
-    }
-    cli::obs_finish(&obs, obs_col.as_ref());
-    println!("\nshape check: every variant is O(1) per waiter in DSM except cc-flag;");
-    println!("signaler cost is O(1) (single-waiter), O(W) (fixed/broadcast-style), or");
-    println!("O(registered) (fixed-signaler, queue-faa) — matching the §7 catalogue.");
+    bench::cli::main(bench::ExperimentKind::E3);
 }

@@ -3,41 +3,12 @@
 //!
 //! Run with: `cargo run --release -p bench --bin exp_e4_primitives`
 //!
-//! Pass `--threads N` to set the pool size (1 = exact serial path).
-//! Observability: `--metrics` / `--trace-chrome` / `--trace-jsonl` /
-//! `--obs-summary` / `--trace-wall` (see [`bench::cli::ObsFlags`]).
-
-use bench::table::{f2, header, row};
-use bench::{cli, e4_primitives};
+//! Scenario flags: `--sizes 16,32`, `--threads N`.
+//!
+//! Shared flags (see [`bench::cli`]): `--canon FILE` writes the canonical
+//! row JSON — the same bytes `bench::run::run_manifest` returns for this
+//! manifest — and the observability flags of [`bench::cli::ObsFlags`].
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let manifest = cli::manifest_or_exit(bench::ExperimentKind::E4, &args);
-    let _threads = cli::apply_threads(&args);
-    let obs = cli::obs_flags(&args);
-    let obs_col = cli::obs_install(&obs);
-    println!("E4: adversarial amortized RMRs vs N — broadcast (reads/writes) vs queue (FAA)\n");
-    let widths = [6, 22, 18, 15];
-    header(&[
-        ("N", 6),
-        ("broadcast amortized", 22),
-        ("queue amortized", 18),
-        ("queue blocked", 15),
-    ]);
-    for r in e4_primitives(&manifest.sizes_usize()) {
-        row(
-            &[
-                r.n.to_string(),
-                f2(r.broadcast_amortized),
-                f2(r.queue_amortized),
-                r.queue_blocked.to_string(),
-            ],
-            &widths,
-        );
-    }
-    cli::obs_finish(&obs, obs_col.as_ref());
-    println!("\npaper: Corollary 6.14 covers reads/writes + CAS/LLSC; §7 closes the gap");
-    println!("with Fetch-And-Add. shape check: the broadcast column grows ~N/2 while the");
-    println!("queue column stays flat; 'blocked' counts erasures the certification refused");
-    println!("(FAA tickets entangle processes without any 'sees' relation).");
+    bench::cli::main(bench::ExperimentKind::E4);
 }

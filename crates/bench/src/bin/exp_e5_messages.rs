@@ -2,56 +2,12 @@
 //!
 //! Run with: `cargo run --release -p bench --bin exp_e5_messages`
 //!
-//! Pass `--threads N` to set the pool size (1 = exact serial path) and
-//! `--canon FILE` to write the canonical row JSON for byte-equality
-//! determinism checks. Observability: `--metrics` / `--trace-chrome` /
-//! `--trace-jsonl` / `--obs-summary` / `--trace-wall` (see
-//! [`bench::cli::ObsFlags`]).
-
-use bench::table::{f2, header, row};
-use bench::{canon, cli, e5_messages};
+//! Scenario flags: `--n N`, `--threads N`.
+//!
+//! Shared flags (see [`bench::cli`]): `--canon FILE` writes the canonical
+//! row JSON — the same bytes `bench::run::run_manifest` returns for this
+//! manifest — and the observability flags of [`bench::cli::ObsFlags`].
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let manifest = cli::manifest_or_exit(bench::ExperimentKind::E5, &args);
-    let _threads = cli::apply_threads(&args);
-    let canon_path = cli::value_of(&args, "--canon");
-    let obs = cli::obs_flags(&args);
-    let obs_col = cli::obs_install(&obs);
-    println!("E5: message accounting (CC write-through), 16 processes\n");
-    let widths = [20, 20, 10, 10, 14, 9];
-    header(&[
-        ("workload", 20),
-        ("interconnect", 20),
-        ("RMRs", 10),
-        ("messages", 10),
-        ("invalidations", 14),
-        ("msg/RMR", 9),
-    ]);
-    let rows = e5_messages(manifest.n.expect("normalized") as u32);
-    for r in &rows {
-        row(
-            &[
-                r.workload.into(),
-                r.interconnect.into(),
-                r.rmrs.to_string(),
-                r.messages.to_string(),
-                r.invalidations.to_string(),
-                f2(r.messages_per_rmr),
-            ],
-            &widths,
-        );
-    }
-    if let Some(path) = canon_path {
-        std::fs::write(&path, canon::e5_json(&rows))
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("\nwrote {path}");
-    }
-    cli::obs_finish(&obs, obs_col.as_ref());
-    println!("\npaper (§8): on a bus, CC RMRs are 'at par' with DSM RMRs (1 msg/RMR);");
-    println!("an ideal directory sends one invalidation per destroyed copy, and the");
-    println!("total number of invalidations is bounded by the number of RMRs (a cached");
-    println!("copy is created by an RMR and destroyed at most once); a stateless");
-    println!("broadcast fabric sends superfluous invalidations, so messages/RMR inflates");
-    println!("with N and amortized RMRs can understate amortized messages.");
+    bench::cli::main(bench::ExperimentKind::E5);
 }

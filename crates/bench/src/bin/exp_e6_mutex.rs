@@ -2,50 +2,12 @@
 //!
 //! Run with: `cargo run --release -p bench --bin exp_e6_mutex`
 //!
-//! Pass `--threads N` to set the pool size (1 = exact serial path) and
-//! `--canon FILE` to write the canonical row JSON for byte-equality
-//! determinism checks. Observability: `--metrics` / `--trace-chrome` /
-//! `--trace-jsonl` / `--obs-summary` / `--trace-wall` (see
-//! [`bench::cli::ObsFlags`]).
-
-use bench::table::{f2, header, row};
-use bench::{canon, cli, e6_mutex};
+//! Scenario flags: `--sizes 2,4`, `--cycles N`, `--threads N`.
+//!
+//! Shared flags (see [`bench::cli`]): `--canon FILE` writes the canonical
+//! row JSON — the same bytes `bench::run::run_manifest` returns for this
+//! manifest — and the observability flags of [`bench::cli::ObsFlags`].
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let manifest = cli::manifest_or_exit(bench::ExperimentKind::E6, &args);
-    let _threads = cli::apply_threads(&args);
-    let canon_path = cli::value_of(&args, "--canon");
-    let obs = cli::obs_flags(&args);
-    let obs_col = cli::obs_install(&obs);
-    println!("E6: RMRs per lock passage, contended workload, seed 42\n");
-    let widths = [12, 5, 6, 16];
-    header(&[("lock", 12), ("model", 5), ("N", 6), ("RMRs/passage", 16)]);
-    let rows = e6_mutex(
-        &manifest.sizes_usize(),
-        manifest.cycles.expect("normalized"),
-    );
-    for r in &rows {
-        row(
-            &[
-                r.lock.clone(),
-                r.model.into(),
-                r.n.to_string(),
-                f2(r.rmrs_per_passage),
-            ],
-            &widths,
-        );
-    }
-    if let Some(path) = canon_path {
-        std::fs::write(&path, canon::e6_json(&rows))
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("\nwrote {path}");
-    }
-    cli::obs_finish(&obs, obs_col.as_ref());
-    println!("\npaper context (§3): reads/writes mutual exclusion is Θ(log N) in BOTH");
-    println!("models (tournament); with RMW primitives it is O(1) in both (MCS);");
-    println!("Anderson's array lock is O(1) in CC only; TAS/TTAS are unbounded under");
-    println!("contention. shape check: mcs flat, tournament grows ~log N identically in");
-    println!("cc and dsm (no separation for mutual exclusion — the paper needs the");
-    println!("signaling problem to separate the models).");
+    bench::cli::main(bench::ExperimentKind::E6);
 }

@@ -2,43 +2,12 @@
 //!
 //! Run with: `cargo run --release -p bench --bin exp_e7_fixed_w`
 //!
-//! Pass `--threads N` to set the pool size (1 = exact serial path).
-//! Observability: `--metrics` / `--trace-chrome` / `--trace-jsonl` /
-//! `--obs-summary` / `--trace-wall` (see [`bench::cli::ObsFlags`]).
-
-use bench::table::{f2, header, row};
-use bench::{cli, e7_fixed_w};
+//! Scenario flags: `--sizes 4,8`, `--threads N`.
+//!
+//! Shared flags (see [`bench::cli`]): `--canon FILE` writes the canonical
+//! row JSON — the same bytes `bench::run::run_manifest` returns for this
+//! manifest — and the observability flags of [`bench::cli::ObsFlags`].
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let manifest = cli::manifest_or_exit(bench::ExperimentKind::E7, &args);
-    let _threads = cli::apply_threads(&args);
-    let obs = cli::obs_flags(&args);
-    let obs_col = cli::obs_install(&obs);
-    println!("E7: solo Signal() cost with all W fixed waiters stable and registered\n");
-    let widths = [24, 6, 14, 10];
-    header(&[
-        ("algorithm", 24),
-        ("W", 6),
-        ("signalerRMRs", 14),
-        ("amortized", 10),
-    ]);
-    for r in e7_fixed_w(&manifest.sizes_usize()) {
-        row(
-            &[
-                r.algorithm.clone(),
-                r.w.to_string(),
-                r.signaler_rmrs.to_string(),
-                f2(r.amortized),
-            ],
-            &widths,
-        );
-    }
-    cli::obs_finish(&obs, obs_col.as_ref());
-    println!("\npaper (§7): 'in the worst case the signaler must perform Ω(W) RMRs if all");
-    println!("W waiters participate by the time Signal() is called' — skipping a waiter");
-    println!("would let its next Poll() incorrectly return false. shape check: every");
-    println!("algorithm's signaler column scales linearly in W (slope 1 for the flag");
-    println!("arrays, 2 for the queue's read+write per waiter); amortized stays O(1)");
-    println!("because all W waiters participate.");
+    bench::cli::main(bench::ExperimentKind::E7);
 }

@@ -3,82 +3,15 @@
 //!
 //! Run with: `cargo run --release -p bench --bin exp_e8_transformation`
 //!
-//! Pass `--audit` to shadow-execute each variant's recording phase under
-//! naive reference implementations of all four cost models; the process
-//! exits nonzero on any divergence. Pass `--sizes 16,32` to override the
-//! default population sizes, `--threads N` to set the pool size (1 = exact
-//! serial path), and `--canon FILE` to write the canonical row JSON for
-//! byte-equality determinism checks. Observability: `--metrics` /
-//! `--trace-chrome` / `--trace-jsonl` / `--obs-summary` / `--trace-wall`
-//! (see [`bench::cli::ObsFlags`]).
-
-use bench::table::{f2, header, row};
-use bench::{canon, cli, e8_transformation_with};
+//! Scenario flags: `--sizes 16,32`, `--threads N`, and `--audit`, which
+//! shadow-executes each variant's recording phase under naive reference
+//! implementations of all four cost models; the process exits nonzero on
+//! any divergence.
+//!
+//! Shared flags (see [`bench::cli`]): `--canon FILE` writes the canonical
+//! row JSON — the same bytes `bench::run::run_manifest` returns for this
+//! manifest — and the observability flags of [`bench::cli::ObsFlags`].
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let manifest = cli::manifest_or_exit(bench::ExperimentKind::E8, &args);
-    let audit = manifest.audit;
-    let _threads = cli::apply_threads(&args);
-    let canon_path = cli::value_of(&args, "--canon");
-    let sizes = manifest.sizes_usize();
-    let obs = cli::obs_flags(&args);
-    let obs_col = cli::obs_install(&obs);
-    println!("E8: Corollary 6.14 — the primitive classes under the same adversary\n");
-    let widths = [14, 6, 11, 8, 11, 9, 13, 7, 10, 10, 10];
-    header(&[
-        ("variant", 14),
-        ("N", 6),
-        ("stabilized", 11),
-        ("stable", 8),
-        ("amortized", 11),
-        ("blocked", 9),
-        ("signalStuck", 13),
-        ("audit", 7),
-        ("record_ms", 10),
-        ("rounds_ms", 10),
-        ("chase_ms", 10),
-    ]);
-    let rows = e8_transformation_with(&sizes, audit);
-    for r in &rows {
-        row(
-            &[
-                r.variant.clone(),
-                r.n.to_string(),
-                r.stabilized.to_string(),
-                r.stable.to_string(),
-                f2(r.amortized),
-                r.blocked.to_string(),
-                r.signal_stuck.to_string(),
-                r.audit_clean
-                    .map_or_else(|| "-".to_string(), |c| if c { "ok" } else { "FAIL" }.into()),
-                f2(r.timings.record_ms),
-                f2(r.timings.rounds_ms),
-                f2(r.timings.chase_ms),
-            ],
-            &widths,
-        );
-    }
-    if let Some(path) = canon_path {
-        std::fs::write(&path, canon::e8_json(&rows))
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("\nwrote {path}");
-    }
-    cli::obs_finish(&obs, obs_col.as_ref());
-    println!("\npaper (Cor. 6.14): the DSM lower bound holds for reads/writes plus CAS");
-    println!("or LL/SC, via locally-accessible read/write implementations of those");
-    println!("primitives. shape check: cas-list amortized grows ~N/2 (the CAS scan is");
-    println!("inherently Theta(k) per registrant); cas-list+rw (every CAS replaced by a");
-    println!("tournament-lock-protected read-modify-write, reads/writes only) also grows");
-    println!("with N; queue-faa stays flat — the boundary is comparison vs.");
-    println!("non-comparison primitives, exactly where the paper draws it. 'blocked'");
-    println!("rows document our adversary's honest limitation on native CAS chains");
-    println!("(the paper transforms first; we show both sides).");
-    if audit {
-        if rows.iter().any(|r| r.audit_clean == Some(false)) {
-            eprintln!("AUDIT DIVERGENCE: at least one variant diverged from the naive replay");
-            std::process::exit(1);
-        }
-        println!("\naudit: all recordings clean under all four cost models");
-    }
+    bench::cli::main(bench::ExperimentKind::E8);
 }

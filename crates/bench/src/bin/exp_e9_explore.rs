@@ -4,139 +4,25 @@
 //!
 //! Run with: `cargo run --release -p bench --bin exp_e9_explore`
 //!
-//! Pass `--threads N` to set the pool size (1 = exact serial path) and
-//! `--canon FILE` to write the canonical row JSON for byte-equality
-//! determinism checks. `--mem-budget BYTES` (`64k`/`512m`/`1g` accepted)
-//! caps the explorer's visited-set + frontier residency; beyond it keys and
-//! nodes spill to delta-compressed disk runs with every verdict, count,
-//! maximum, and counterexample byte-identical to the unbudgeted run.
-//! `--deep` replaces the sweep with the single **deep row** — the largest
-//! shipped state space (single-waiter × DSM) one size up at n = 4, the row
-//! CI runs under a hard address-space cap to prove the spill path holds the
-//! line. Observability: `--metrics` / `--trace-chrome` / `--trace-jsonl` /
-//! `--obs-summary` / `--trace-wall` / `--progress[=N]` / `--progress-jsonl`
-//! / `--profile[=N]` / `--profile-folded` / `--profile-json` (see
-//! [`bench::cli::ObsFlags`]).
+//! Scenario flags: `--waiters N`, `--max-polls N`, `--threads N`,
+//! `--algorithm`/`--model` row filters, and `--mem-budget BYTES`
+//! (`64k`/`512m`/`1g` accepted), which caps the explorer's visited-set +
+//! frontier residency; beyond it keys and nodes spill to delta-compressed
+//! disk runs with every verdict, count, maximum, and counterexample
+//! byte-identical to the unbudgeted run. `--deep` replaces the sweep with
+//! the single **deep row** — the largest shipped state space (single-waiter
+//! × DSM) one size up at n = 4, the row CI runs under a hard address-space
+//! cap to prove the spill path holds the line.
 //!
 //! Exits nonzero when the exploration refutes the repo's claims: an
 //! in-contract Specification 4.1 violation in a shipped algorithm, a missed
 //! seeded-buggy violation (the negative control), a non-exhaustive run, or
 //! an explored RMR maximum below the adversary's constructed chase cost.
-
-use bench::table::{header, row};
-use bench::{canon, cli, e9_deep, e9_explore_with, E9_DEEP_MAX_POLLS, E9_DEEP_WAITERS};
+//!
+//! Shared flags (see [`bench::cli`]): `--canon FILE` writes the canonical
+//! row JSON — the same bytes `bench::run::run_manifest` returns for this
+//! manifest — and the observability flags of [`bench::cli::ObsFlags`].
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let manifest = cli::manifest_or_exit(bench::ExperimentKind::E9, &args);
-    let _threads = cli::apply_threads(&args);
-    let canon_path = cli::value_of(&args, "--canon");
-    let mem_budget = manifest.mem_budget_usize();
-    let deep = manifest.deep;
-    let obs = cli::obs_flags(&args);
-    let obs_col = cli::obs_install(&obs);
-    if deep {
-        println!(
-            "E9 deep row: single-waiter x DSM, {E9_DEEP_WAITERS} waiters (max \
-             {E9_DEEP_MAX_POLLS} poll) + 1 signaler (1 pre-poll)"
-        );
-    } else {
-        println!("E9: exhaustive exploration, 2 waiters (max 2 polls) + 1 signaler (1 pre-poll)");
-    }
-    match mem_budget {
-        Some(b) => println!("memory budget: {b} bytes (spilling past it)\n"),
-        None => println!(),
-    }
-    let widths = [15, 5, 9, 9, 12, 12, 11, 7];
-    header(&[
-        ("algorithm", 15),
-        ("model", 5),
-        ("explored", 9),
-        ("terminals", 9),
-        ("violations", 12),
-        ("in-contract", 12),
-        ("max sig RMR", 11),
-        ("chase", 7),
-    ]);
-    let rows = if deep {
-        e9_deep(mem_budget)
-    } else {
-        e9_explore_with(
-            manifest.waiters.expect("normalized") as usize,
-            manifest.max_polls.expect("normalized"),
-            mem_budget,
-        )
-    };
-    for r in &rows {
-        row(
-            &[
-                r.algorithm.clone(),
-                r.model.into(),
-                r.explored.to_string(),
-                r.terminals.to_string(),
-                r.violations_found.to_string(),
-                r.violations_in_contract.to_string(),
-                r.max_signaler_rmrs.to_string(),
-                r.chase_signaler_rmrs
-                    .map_or_else(|| "-".into(), |c| c.to_string()),
-            ],
-            &widths,
-        );
-    }
-    // The memory trajectory (peak_frontier / peak_visited_bytes /
-    // spilled_bytes per row) lives in the progress JSONL stream now:
-    // `--progress-jsonl out.jsonl` writes one `progress_summary` frame per
-    // row with exactly those fields.
-    if let Some(path) = canon_path {
-        std::fs::write(&path, canon::e9_json(&rows))
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("\nwrote {path}");
-    }
-    cli::obs_finish(&obs, obs_col.as_ref());
-    let mut failures = Vec::new();
-    for r in &rows {
-        if !r.exhaustive {
-            failures.push(format!(
-                "{} ({}): exploration was not exhaustive",
-                r.algorithm, r.model
-            ));
-        }
-        if r.algorithm == "seeded-buggy" {
-            if r.violations_in_contract == 0 {
-                failures.push(format!(
-                    "{} ({}): negative control found no in-contract violation",
-                    r.algorithm, r.model
-                ));
-            } else if let Some(cx) = &r.counterexample {
-                println!("\n{} ({}) counterexample: {cx}", r.algorithm, r.model);
-            }
-        } else if r.violations_in_contract > 0 {
-            failures.push(format!(
-                "{} ({}): {} in-contract spec violation(s): {}",
-                r.algorithm,
-                r.model,
-                r.violations_in_contract,
-                r.counterexample.as_deref().unwrap_or("<no counterexample>")
-            ));
-        }
-        if let Some(chase) = r.chase_signaler_rmrs {
-            if r.max_signaler_rmrs < chase {
-                failures.push(format!(
-                    "{} ({}): explored max signaler RMRs {} < chase-constructed {chase}",
-                    r.algorithm, r.model, r.max_signaler_rmrs
-                ));
-            }
-        }
-    }
-    println!("\npaper tie-in: at small n the explorer certifies Specification 4.1 over");
-    println!("EVERY schedule (within each algorithm's participation contract) and");
-    println!("measures the true maximum of the signaler's RMRs; the §6 wild-goose-chase");
-    println!("cost is one reachable schedule, so the explored maximum dominates it.");
-    if !failures.is_empty() {
-        eprintln!("\nE9 FAILURES:");
-        for f in &failures {
-            eprintln!("  {f}");
-        }
-        std::process::exit(1);
-    }
+    bench::cli::main(bench::ExperimentKind::E9);
 }

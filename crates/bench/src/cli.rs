@@ -1,58 +1,111 @@
-//! Tiny shared argument helpers for the experiment binaries.
+//! The experiment binaries' command line. Every `exp_*` binary is
+//! `fn main() { bench::cli::main(kind) }`: [`main`] validates the manifest
+//! from the flags, sets the pool size from `manifest.threads`, parses the
+//! observability flags, runs the one entry path ([`crate::run::run`]),
+//! prints the table, writes `--canon`, finishes the observability sinks and
+//! exits 1 when the rows refute a claim. [`Session`] exposes those steps
+//! for the one binary (E2) that adds outputs of its own.
 //!
-//! The binaries stay dependency-free (no clap); these helpers cover the two
-//! patterns they share: `--flag value` extraction and the `--threads N`
-//! convention (an explicit `--threads` overrides the `CC_DSM_THREADS`
-//! environment variable, which overrides available parallelism — resolution
-//! lives in [`shm_pool::threads`]).
+//! The binaries stay dependency-free (no clap). Every malformed flag exits
+//! 2 with a structured `cc-dsm/error/v1` JSON diagnostic on stderr, never a
+//! panic. Thread count: an explicit `--threads` overrides the
+//! `CC_DSM_THREADS` environment variable, which overrides available
+//! parallelism (resolution lives in [`shm_pool::threads`]).
 
-// The pure parsing helpers live in `shm-scenario` now (shared with the
-// `shm-serve` job server); re-exported so existing `bench::cli` paths keep
-// working. `manifest_from_args` is the structured-validation entry the
-// binaries use to reject bad scenario flags up front.
-pub use shm_scenario::cli::{
-    manifest_from_args, mem_budget_of, parse_bytes, sizes_of, try_parse_bytes, value_of,
-};
+use crate::run::{self, Rows};
+use shm_scenario::cli::{manifest_from_args, value_of};
+use shm_scenario::{ExperimentKind, Manifest, ManifestError};
+use std::sync::Arc;
 
-/// Parses the scenario flags into a validated, normalized manifest of
-/// `kind`, or prints the structured `cc-dsm/error/v1` JSON error on stderr
-/// and exits 2. Every `exp_*` binary goes through this, so duplicate or
-/// out-of-range `--sizes` (and out-of-range `--n`, `--waiters`, …) are
-/// rejected up front instead of panicking deep inside a sweep.
-#[must_use]
-pub fn manifest_or_exit(
-    kind: shm_scenario::ExperimentKind,
-    args: &[String],
-) -> shm_scenario::Manifest {
-    manifest_from_args(kind, args).unwrap_or_else(|e| {
+/// Runs one experiment binary end to end (see the module docs).
+pub fn main(kind: ExperimentKind) {
+    let session = Session::start(kind);
+    let rows = session.run();
+    session.finish(&rows);
+}
+
+/// One experiment binary's invocation: its arguments, validated manifest,
+/// and installed observability recorder.
+pub struct Session {
+    /// The process arguments.
+    pub args: Vec<String>,
+    /// The validated, normalized manifest built from `args`.
+    pub manifest: Manifest,
+    obs: ObsFlags,
+    collector: Option<Arc<shm_obs::Collector>>,
+}
+
+impl Session {
+    /// Validates the manifest from the process arguments, sets the pool
+    /// size from `manifest.threads`, parses the observability flags and
+    /// installs the requested recorders. Exits 2 on any malformed flag.
+    #[must_use]
+    pub fn start(kind: ExperimentKind) -> Session {
+        let args: Vec<String> = std::env::args().collect();
+        let manifest = or_exit(manifest_from_args(kind, &args));
+        set_threads(manifest.threads.map(|t| t as usize));
+        let obs = or_exit(obs_flags(&args));
+        let collector = obs_install(&obs);
+        Session {
+            args,
+            manifest,
+            obs,
+            collector,
+        }
+    }
+
+    /// Runs the manifest and prints its table with the paper footer.
+    #[must_use]
+    pub fn run(&self) -> Rows {
+        let rows = run::run(&self.manifest);
+        print!("{}", rows.table(&self.manifest));
+        rows
+    }
+
+    /// Drops everything recorded so far, so the sinks cover only what runs
+    /// next (E2's `--speedup` re-run).
+    pub fn restart_recording(&self) {
+        if let Some(c) = &self.collector {
+            c.clear();
+        }
+    }
+
+    /// Writes `--canon`, finishes the observability sinks, and exits 1
+    /// after listing the refuted claims on stderr, if any.
+    pub fn finish(self, rows: &Rows) {
+        write_out(&value_of(&self.args, "--canon"), || rows.canon_json());
+        obs_finish(&self.obs, self.collector.as_ref());
+        let failures = rows.failures(&self.manifest);
+        if !failures.is_empty() {
+            eprintln!("\n{} FAILURES:", self.manifest.kind.as_str().to_uppercase());
+            for f in &failures {
+                eprintln!("  {f}");
+            }
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Unwraps a flag-parsing result, or prints its structured
+/// `cc-dsm/error/v1` JSON diagnostic on stderr and exits 2.
+pub fn or_exit<T>(parsed: Result<T, ManifestError>) -> T {
+    parsed.unwrap_or_else(|e| {
         eprintln!("{}", e.to_json());
         std::process::exit(2);
     })
 }
 
-/// Applies `--threads N` (if present) as the process-wide pool thread count
-/// and returns the effective count.
-#[must_use]
-pub fn apply_threads(args: &[String]) -> usize {
-    if let Some(v) = value_of(args, "--threads") {
-        let n: usize = v.parse().expect("--threads takes a positive integer");
-        assert!(n > 0, "--threads takes a positive integer");
+/// Sets the process-wide pool size to `threads` when given and returns the
+/// effective count.
+pub fn set_threads(threads: Option<usize>) -> usize {
+    if let Some(n) = threads {
         shm_pool::set_threads(n);
     }
     shm_pool::threads()
 }
 
-/// Observability outputs requested on the command line (shared by every
-/// `exp_*` binary): `--metrics out.json` (deterministic counter report),
-/// `--trace-jsonl out.jsonl` (event stream), `--trace-chrome out.json`
-/// (Chrome `trace_event` timeline), `--obs-summary` (counter totals on
-/// stdout), `--trace-wall` (adds wall-clock timestamps, lanes, and
-/// scheduling-dependent counters to the JSONL stream, giving up its
-/// byte-determinism), `--progress[=N]` (live stderr ticker, cadence
-/// override N; `--progress-jsonl out.jsonl` also writes the sorted frame
-/// stream), and `--profile[=N]` (top-N span self-time table on stdout;
-/// `--profile-folded`/`--profile-json` write flamegraph folded stacks and
-/// the profile JSON).
+/// Observability outputs requested on the command line, shared by every
+/// `exp_*` binary (one field per flag).
 #[derive(Clone, Debug, Default)]
 pub struct ObsFlags {
     /// `--metrics <path>`: write the deterministic metrics JSON.
@@ -86,18 +139,6 @@ pub struct ObsFlags {
 }
 
 impl ObsFlags {
-    /// Whether any observability output was requested (i.e. whether a
-    /// recorder needs to be installed at all).
-    #[must_use]
-    pub fn any(&self) -> bool {
-        self.metrics.is_some()
-            || self.trace_chrome.is_some()
-            || self.trace_jsonl.is_some()
-            || self.summary
-            || self.progress_on()
-            || self.profile_on()
-    }
-
     /// Whether progress frames were requested in any form.
     #[must_use]
     pub fn progress_on(&self) -> bool {
@@ -126,29 +167,29 @@ impl ObsFlags {
 
 /// The optional `=N` payload of a `--flag` / `--flag=N` argument:
 /// `None` when the flag is absent, `Some(None)` for the bare form,
-/// `Some(Some(n))` with a value.
-fn opt_eq_value(args: &[String], flag: &str) -> Option<Option<u64>> {
+/// `Some(Some(n))` with a value; a non-integer `N` is a `bad_type` error.
+fn opt_eq_value(args: &[String], flag: &str) -> Result<Option<Option<u64>>, ManifestError> {
     let prefix = format!("{flag}=");
     for a in args {
         if a == flag {
-            return Some(None);
+            return Ok(Some(None));
         }
         if let Some(v) = a.strip_prefix(&prefix) {
-            let n = v
-                .parse()
-                .unwrap_or_else(|_| panic!("{flag}=N takes a positive integer (got {v:?})"));
-            return Some(Some(n));
+            return v.parse().map(|n| Some(Some(n))).map_err(|_| ManifestError {
+                code: "bad_type",
+                field: flag.trim_start_matches('-').into(),
+                message: format!("{flag}=N takes a non-negative integer (got {v:?})"),
+            });
         }
     }
-    None
+    Ok(None)
 }
 
 /// Parses the shared observability flags.
-#[must_use]
-pub fn obs_flags(args: &[String]) -> ObsFlags {
-    let progress = opt_eq_value(args, "--progress");
-    let profile = opt_eq_value(args, "--profile");
-    ObsFlags {
+fn obs_flags(args: &[String]) -> Result<ObsFlags, ManifestError> {
+    let progress = opt_eq_value(args, "--progress")?;
+    let profile = opt_eq_value(args, "--profile")?;
+    Ok(ObsFlags {
         metrics: value_of(args, "--metrics"),
         trace_chrome: value_of(args, "--trace-chrome"),
         trace_jsonl: value_of(args, "--trace-jsonl"),
@@ -157,10 +198,10 @@ pub fn obs_flags(args: &[String]) -> ObsFlags {
         progress: progress.is_some(),
         progress_every: progress.flatten(),
         progress_jsonl: value_of(args, "--progress-jsonl"),
-        profile_top: profile.map(|n| usize::try_from(n.unwrap_or(20)).expect("fits usize")),
+        profile_top: profile.map(|n| n.map_or(20, |n| usize::try_from(n).unwrap_or(usize::MAX))),
         profile_folded: value_of(args, "--profile-folded"),
         profile_json: value_of(args, "--profile-json"),
-    }
+    })
 }
 
 /// Installs an `shm-obs` collector when a collector-backed sink was
@@ -169,7 +210,7 @@ pub fn obs_flags(args: &[String]) -> ObsFlags {
 /// that skips span/counter recording entirely (frames self-buffer), so
 /// `--progress` / `--progress-jsonl` cost only the cadence checks.
 #[must_use]
-pub fn obs_install(flags: &ObsFlags) -> Option<std::sync::Arc<shm_obs::Collector>> {
+fn obs_install(flags: &ObsFlags) -> Option<Arc<shm_obs::Collector>> {
     if flags.progress_on() {
         shm_obs::progress::install(shm_obs::progress::Config {
             every: flags.progress_every,
@@ -187,16 +228,12 @@ pub fn obs_install(flags: &ObsFlags) -> Option<std::sync::Arc<shm_obs::Collector
 /// Writes the requested sinks from the collector installed by
 /// [`obs_install`] and uninstalls the recorder. No-op when `collector` is
 /// `None`.
-pub fn obs_finish(flags: &ObsFlags, collector: Option<&std::sync::Arc<shm_obs::Collector>>) {
+fn obs_finish(flags: &ObsFlags, collector: Option<&Arc<shm_obs::Collector>>) {
     // Drain the progress sink before uninstalling the recorder: rendering
     // happens here, so the frame stream is sorted (deterministic order)
     // whatever order workers emitted in. Progress needs no collector.
     let progress_out = shm_obs::progress::finish();
-    if let Some(path) = &flags.progress_jsonl {
-        std::fs::write(path, progress_out.as_deref().unwrap_or(""))
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("wrote {path}");
-    }
+    write_out(&flags.progress_jsonl, || progress_out.unwrap_or_default());
     let Some(c) = collector else { return };
     shm_obs::uninstall();
     let snap = c.snapshot();
@@ -206,35 +243,25 @@ pub fn obs_finish(flags: &ObsFlags, collector: Option<&std::sync::Arc<shm_obs::C
             println!("\nspan self-time profile (top {n}):");
             print!("{}", prof.table(n));
         }
-        if let Some(path) = &flags.profile_folded {
-            std::fs::write(path, prof.folded()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-            println!("wrote {path}");
-        }
-        if let Some(path) = &flags.profile_json {
-            std::fs::write(path, prof.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-            println!("wrote {path}");
-        }
+        write_out(&flags.profile_folded, || prof.folded());
+        write_out(&flags.profile_json, || prof.to_json());
     }
-    if let Some(path) = &flags.metrics {
-        let report = shm_obs::MetricsReport::from_snapshot(&snap);
-        std::fs::write(path, report.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("wrote {path}");
-    }
-    if let Some(path) = &flags.trace_jsonl {
-        std::fs::write(path, shm_obs::jsonl(&snap, flags.wall))
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("wrote {path}");
-    }
-    if let Some(path) = &flags.trace_chrome {
-        std::fs::write(path, shm_obs::chrome_trace(&snap))
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("wrote {path}");
-    }
+    let report = shm_obs::MetricsReport::from_snapshot(&snap);
+    write_out(&flags.metrics, || report.to_json());
+    write_out(&flags.trace_jsonl, || shm_obs::jsonl(&snap, flags.wall));
+    write_out(&flags.trace_chrome, || shm_obs::chrome_trace(&snap));
     if flags.summary {
-        let report = shm_obs::MetricsReport::from_snapshot(&snap);
         println!("\nobs summary (deterministic counter totals):");
         for name in report.names() {
             println!("  {:<24} {}", name, report.total(name));
         }
+    }
+}
+
+/// Writes `text()` to `path` when that output was requested, and says so.
+fn write_out(path: &Option<String>, text: impl FnOnce() -> String) {
+    if let Some(path) = path {
+        std::fs::write(path, text()).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        println!("wrote {path}");
     }
 }

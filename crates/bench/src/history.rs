@@ -18,6 +18,7 @@
 //! thresholds have both a relative and an absolute guard, so micro-second
 //! walls cannot flag on scheduler jitter.
 
+use shm_scenario::json::{self, Value};
 use std::collections::BTreeMap;
 
 /// Schema tag written into (and required of) every history record.
@@ -78,49 +79,27 @@ fn fmt_num(v: f64) -> String {
     }
 }
 
-// ------------------------------------------------------- minimal parsing ----
+// -------------------------------------------------------------- parsing ----
 
-/// The raw text of the first `"key": value` number field in `obj`.
-/// Minimal extraction for the repo's own, escape-free JSON output.
-#[must_use]
-pub fn json_number(obj: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\"");
-    let at = obj.find(&needle)? + needle.len();
-    let rest = obj[at..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// The first `"key": "value"` string field in `obj` (no escape handling —
-/// the repo's own JSON never needs it).
-#[must_use]
-pub fn json_string(obj: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\"");
-    let at = obj.find(&needle)? + needle.len();
-    let rest = obj[at..].trim_start().strip_prefix(':')?.trim_start();
-    let rest = rest.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-/// Parses the `"metrics": {...}` object of one record line.
-fn parse_metrics(line: &str) -> Option<BTreeMap<String, f64>> {
-    let at = line.find("\"metrics\"")?;
-    let open = line[at..].find('{')? + at;
-    let close = line[open..].find('}')? + open;
-    let body = &line[open + 1..close];
-    let mut metrics = BTreeMap::new();
-    for pair in body.split(',') {
-        let pair = pair.trim();
-        if pair.is_empty() {
-            continue;
-        }
-        let (k, v) = pair.split_once(':')?;
-        let k = k.trim().strip_prefix('"')?.strip_suffix('"')?;
-        metrics.insert(k.to_string(), v.trim().parse().ok()?);
+/// Parses one record line; `None` for anything that is not a well-formed
+/// record of this schema.
+fn parse_record(line: &str) -> Option<Record> {
+    let v = json::parse(line).ok()?;
+    if v.get("schema")?.as_str()? != SCHEMA {
+        return None;
     }
-    Some(metrics)
+    let Value::Obj(fields) = v.get("metrics")? else {
+        return None;
+    };
+    Some(Record {
+        git_sha: v.get("git_sha")?.as_str()?.to_string(),
+        utc_date: v.get("utc_date")?.as_str()?.to_string(),
+        threads: v.get("threads")?.as_u64()?,
+        metrics: fields
+            .iter()
+            .map(|(k, v)| Some((k.clone(), v.as_f64()?)))
+            .collect::<Option<_>>()?,
+    })
 }
 
 /// Parses a history file's text into records, oldest first. Lines that are
@@ -128,20 +107,7 @@ fn parse_metrics(line: &str) -> Option<BTreeMap<String, f64>> {
 /// ledger outlives format experiments.
 #[must_use]
 pub fn parse_records(text: &str) -> Vec<Record> {
-    text.lines()
-        .filter_map(|line| {
-            let line = line.trim();
-            if line.is_empty() || json_string(line, "schema").as_deref() != Some(SCHEMA) {
-                return None;
-            }
-            Some(Record {
-                git_sha: json_string(line, "git_sha")?,
-                utc_date: json_string(line, "utc_date")?,
-                threads: json_number(line, "threads")? as u64,
-                metrics: parse_metrics(line)?,
-            })
-        })
-        .collect()
+    text.lines().filter_map(parse_record).collect()
 }
 
 // ------------------------------------------------------------- stamping ----
@@ -447,16 +413,23 @@ mod tests {
     }
 
     #[test]
-    fn json_field_helpers_extract_from_repo_json() {
-        let obj = "{\"experiment\": \"bench_step_throughput\", \"wall_ms\": 12.5, \
-                   \"serial_steps_per_sec\": 2100000, \"threads\": 4}";
-        assert_eq!(json_number(obj, "wall_ms"), Some(12.5));
-        assert_eq!(json_number(obj, "serial_steps_per_sec"), Some(2_100_000.0));
-        assert_eq!(
-            json_string(obj, "experiment").as_deref(),
-            Some("bench_step_throughput")
+    fn parser_accepts_any_json_layout_of_a_record() {
+        let text = concat!(
+            "{ \"metrics\": {\"wall_ms.total\": 12.5, \"steps_per_sec.serial\": 2.1e6},\n",
+            "  \"threads\": 4, \"utc_date\": \"2026-08-10\", \"git_sha\": \"abc1234\",\n",
+            "  \"schema\": \"cc-dsm/bench-history/v1\" }"
         );
-        assert_eq!(json_number(obj, "absent"), None);
-        assert_eq!(json_string(obj, "wall_ms"), None, "number is not a string");
+        assert!(parse_records(text).is_empty(), "records are one per line");
+        let parsed = parse_records(&text.replace('\n', " "));
+        assert_eq!(
+            parsed,
+            vec![rec(
+                "abc1234",
+                &[
+                    ("wall_ms.total", 12.5),
+                    ("steps_per_sec.serial", 2_100_000.0)
+                ]
+            )]
+        );
     }
 }

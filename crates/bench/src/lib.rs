@@ -16,26 +16,31 @@
 //! | E7 | §7: Ω(W) signaler cost for fixed waiters | [`e7_fixed_w`] |
 //! | E8 | Corollary 6.14: CAS (native or transformed to reads/writes) stays bounded by the adversary; FAA escapes | [`e8_transformation`] |
 //! | E9 | Spec 4.1 certified over *every* schedule at small n; explored RMR maximum dominates the §6 chase cost | [`e9_explore`] |
+//! | E10 | Spec 4.1 under seeded PCT sampling at adversary scale (n = 8..32); seeded faults surface within the budget | [`e10_pct`] |
 //!
 //! Every function returns structured rows (so the integration tests assert
-//! on them) and the `exp_*` binaries print them as tables. The adversary
-//! experiments have `*_with(sizes, audit)` variants that additionally run
-//! the differential RMR audit ([`shm_sim::Simulator::audit`]) over every
-//! phase; the `exp_e2_dsm_lower` / `exp_e8_transformation` binaries expose
-//! this as `--audit` and exit nonzero on any divergence.
+//! on them). [`run::run`] is the one entry path from a scenario manifest to
+//! those rows: it dispatches on the manifest's kind and returns
+//! [`run::Rows`], which render the canonical JSON, the stdout table, and
+//! the list of refuted claims. Each `exp_*` binary is a single call to
+//! [`cli::main`], and `shm-serve` calls [`run::run_manifest`], so the
+//! binaries, `exp_all` and the job server execute the same code. The
+//! adversary experiments have `*_with(sizes, audit)` variants that
+//! additionally run the differential RMR audit
+//! ([`shm_sim::Simulator::audit`]) over every phase; `--audit` on E2/E8
+//! exposes this and exits nonzero on any divergence.
 //!
 //! Sweeps fan their rows out over the in-tree work-stealing pool
 //! (re-exported as [`pool`]) and merge results by submission index, so
 //! tables and JSON are byte-identical at every thread count. Thread count:
 //! `--threads N` on the binaries, the `CC_DSM_THREADS` environment variable,
 //! or available parallelism, in that precedence; `1` is the exact serial
-//! path. [`canon`] renders rows as canonical (timing-free) JSON for
-//! byte-equality checks across thread counts.
+//! path. [`shm_scenario::canon`] renders rows as canonical (timing-free)
+//! JSON for byte-equality checks across thread counts.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod canon;
 pub mod cli;
 pub mod experiments;
 pub mod history;

@@ -73,7 +73,7 @@ pub fn json_row(r: &BenchResult) -> String {
             "{{\"label\": \"{}\", \"iters\": {}, \"mean_ms\": {:.3}, ",
             "\"median_ms\": {:.3}, \"min_ms\": {:.3}, \"max_ms\": {:.3}}}"
         ),
-        r.label.replace('\\', "\\\\").replace('"', "\\\""),
+        shm_obs::json::escape(&r.label),
         r.iters,
         r.mean_ms,
         r.median_ms,

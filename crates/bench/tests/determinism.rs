@@ -6,7 +6,8 @@
 //! `shm_pool::set_threads` is process-global, so the tests serialize on a
 //! mutex and restore the default afterwards.
 
-use bench::{canon, e1_cc_upper, e2_dsm_lower_with, e8_transformation_with, e9_explore};
+use bench::{e1_cc_upper, e2_dsm_lower_with, e8_transformation_with, e9_explore};
+use shm_scenario::canon;
 use std::sync::Mutex;
 
 static POOL_LOCK: Mutex<()> = Mutex::new(());

@@ -13,7 +13,8 @@
 //! Regenerate after a deliberate output change with:
 //! `BLESS_GOLDEN=1 cargo test -p bench --test golden`
 
-use bench::{canon, e2_dsm_lower_with, e9_explore};
+use bench::{e2_dsm_lower_with, e9_explore};
+use shm_scenario::canon;
 use std::path::PathBuf;
 use std::sync::Mutex;
 

@@ -10,7 +10,8 @@
 //! `shm_pool::set_threads` is process-global, so the tests serialize on a
 //! shared lock (same pattern as the determinism suite).
 
-use bench::{canon, e9_explore_with, E9Row};
+use bench::{e9_explore_with, E9Row};
+use shm_scenario::canon;
 use std::sync::Mutex;
 
 static POOL_LOCK: Mutex<()> = Mutex::new(());

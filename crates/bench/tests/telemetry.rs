@@ -9,8 +9,9 @@
 //! are all process-global, so every test serializes on one mutex.
 
 use bench::history::{self, Record};
-use bench::{canon, e10_pct, e2_dsm_lower_with, e9_explore};
+use bench::{e10_pct, e2_dsm_lower_with, e9_explore};
 use shm_obs::progress::{self, Config};
+use shm_scenario::canon;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 

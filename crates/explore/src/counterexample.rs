@@ -38,22 +38,6 @@ pub struct Counterexample {
     pub audit_clean: bool,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn opt_u64(v: Option<u64>) -> String {
     v.map_or_else(|| "null".to_owned(), |x| x.to_string())
 }
@@ -70,9 +54,9 @@ impl Counterexample {
                 "\"schedule\":[{}],\"shrunk_from\":{},\"max_depth\":{},",
                 "\"max_preemptions\":{},\"audit_clean\":{}}}"
             ),
-            json_escape(&self.algorithm),
-            json_escape(&self.oracle),
-            json_escape(&self.description),
+            shm_obs::json::escape(&self.algorithm),
+            shm_obs::json::escape(&self.oracle),
+            shm_obs::json::escape(&self.description),
             self.in_contract,
             self.model,
             self.n,

@@ -33,6 +33,7 @@
 #![warn(clippy::all)]
 
 mod chrome;
+pub mod json;
 pub mod profile;
 pub mod progress;
 mod report;

@@ -191,7 +191,7 @@ impl Profile {
         for (stack, stats) in &self.by_stack {
             out.push_str(if first { "\n" } else { ",\n" });
             first = false;
-            let _ = write!(out, "    \"{}\": ", stack.replace('"', "\\\""));
+            let _ = write!(out, "    \"{}\": ", crate::json::escape(stack));
             node(&mut out, stats);
         }
         out.push_str("\n  }\n}\n");

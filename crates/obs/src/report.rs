@@ -1,13 +1,10 @@
 //! Deterministic sinks: the in-memory [`MetricsReport`] (canonical JSON)
 //! and the JSONL event stream.
 
+use crate::json::escape;
 use crate::{registry, CounterKey, Snapshot};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
 
 /// In-memory aggregation of a snapshot's **deterministic** counters:
 /// per-counter totals with per-scope, per-cost-model, per-process, and
@@ -133,7 +130,7 @@ impl MetricsReport {
             let _ = write!(
                 out,
                 "{sep}\n    \"{}\": {{\n      \"total\": {}",
-                json_escape(name),
+                escape(name),
                 self.total(name)
             );
             map_block(&mut out, "by_scope", &self.by_scope(name), false);
@@ -172,7 +169,7 @@ pub fn jsonl(snap: &Snapshot, wall: bool) -> String {
             let _ = write!(
                 out,
                 "{{\"type\":\"{ty}\",\"track\":{track},\"name\":\"{}\"",
-                json_escape(ev.name)
+                escape(ev.name)
             );
             if wall {
                 let _ = write!(out, ",\"lane\":{},\"t_ns\":{}", ev.lane, ev.t_ns);
@@ -186,13 +183,13 @@ pub fn jsonl(snap: &Snapshot, wall: bool) -> String {
             let _ = write!(
                 out,
                 "{{\"type\":\"counter\",\"track\":{track},\"name\":\"{}\"",
-                json_escape(key.name)
+                escape(key.name)
             );
             if let Some(s) = key.scope {
-                let _ = write!(out, ",\"scope\":\"{}\"", json_escape(s));
+                let _ = write!(out, ",\"scope\":\"{}\"", escape(s));
             }
             if let Some(m) = key.model {
-                let _ = write!(out, ",\"model\":\"{}\"", json_escape(m));
+                let _ = write!(out, ",\"model\":\"{}\"", escape(m));
             }
             if let Some(p) = key.pid {
                 let _ = write!(out, ",\"pid\":{p}");

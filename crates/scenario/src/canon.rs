@@ -9,11 +9,8 @@
 //! bytes back to clients (so a served job equals the corresponding `exp_*`
 //! `--canon` output byte-for-byte).
 
+use crate::json::escape;
 use crate::rows::{E10Row, E1Row, E2Row, E3Row, E4Row, E5Row, E6Row, E7Row, E8Row, E9Row};
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
 
 fn opt_u64(v: Option<u64>) -> String {
     v.map_or_else(|| "null".to_owned(), |x| x.to_string())
@@ -50,7 +47,7 @@ pub fn e1_json(rows: &[E1Row]) -> String {
                         "{{\"model\": \"{}\", \"n_waiters\": {}, \"polls\": {}, ",
                         "\"max_rmrs_per_proc\": {}, \"total_rmrs\": {}{}}}"
                     ),
-                    json_escape(r.model),
+                    escape(r.model),
                     r.n_waiters,
                     r.polls,
                     r.max_rmrs_per_proc,
@@ -81,7 +78,7 @@ pub fn e2_json(rows: &[E2Row]) -> String {
                         "\"blocked\": {}, \"amortized\": {:.4}, \"violation\": {}, ",
                         "\"out_of_contract\": {}, \"audit_clean\": {}, \"audit_divergence\": {}{}}}"
                     ),
-                    json_escape(&r.algorithm),
+                    escape(&r.algorithm),
                     r.n,
                     r.stabilized,
                     r.stable,
@@ -113,12 +110,12 @@ pub fn e3_json(rows: &[E3Row]) -> String {
                         "\"max_waiter_rmrs\": {}, \"signaler_rmrs\": {}, ",
                         "\"amortized\": {:.4}, \"paper_bound\": \"{}\"}}"
                     ),
-                    json_escape(&r.algorithm),
-                    json_escape(r.model),
+                    escape(&r.algorithm),
+                    escape(r.model),
                     r.max_waiter_rmrs,
                     r.signaler_rmrs,
                     r.amortized,
-                    json_escape(r.paper_bound),
+                    escape(r.paper_bound),
                 )
             })
             .collect(),
@@ -157,8 +154,8 @@ pub fn e5_json(rows: &[E5Row]) -> String {
                         "\"rmrs\": {}, \"messages\": {}, \"invalidations\": {}, ",
                         "\"messages_per_rmr\": {:.4}}}"
                     ),
-                    json_escape(r.workload),
-                    json_escape(r.interconnect),
+                    escape(r.workload),
+                    escape(r.interconnect),
                     opt_u64(r.seed),
                     r.rmrs,
                     r.messages,
@@ -181,8 +178,8 @@ pub fn e6_json(rows: &[E6Row]) -> String {
                         "{{\"lock\": \"{}\", \"model\": \"{}\", \"n\": {}, \"seed\": {}, ",
                         "\"rmrs_per_passage\": {:.4}}}"
                     ),
-                    json_escape(&r.lock),
-                    json_escape(r.model),
+                    escape(&r.lock),
+                    escape(r.model),
                     r.n,
                     r.seed,
                     r.rmrs_per_passage,
@@ -203,7 +200,7 @@ pub fn e7_json(rows: &[E7Row]) -> String {
                         "{{\"algorithm\": \"{}\", \"w\": {}, ",
                         "\"signaler_rmrs\": {}, \"amortized\": {:.4}}}"
                     ),
-                    json_escape(&r.algorithm),
+                    escape(&r.algorithm),
                     r.w,
                     r.signaler_rmrs,
                     r.amortized,
@@ -228,7 +225,7 @@ pub fn e8_json(rows: &[E8Row]) -> String {
                         "\"stable\": {}, \"amortized\": {:.4}, \"blocked\": {}, ",
                         "\"signal_stuck\": {}, \"audit_clean\": {}{}}}"
                     ),
-                    json_escape(&r.variant),
+                    escape(&r.variant),
                     r.n,
                     r.stabilized,
                     r.stable,
@@ -263,8 +260,8 @@ pub fn e10_json(rows: &[E10Row]) -> String {
                         "\"peak_visited_bytes\": {}, \"spilled_bytes\": {}, ",
                         "\"counterexample\": {}{}}}"
                     ),
-                    json_escape(&r.algorithm),
-                    json_escape(r.model),
+                    escape(&r.algorithm),
+                    escape(r.model),
                     r.n,
                     opt_u64(r.seed),
                     r.pct_seed,
@@ -304,8 +301,8 @@ pub fn e9_json(rows: &[E9Row]) -> String {
                         "\"peak_frontier\": {}, \"peak_visited_bytes\": {}, ",
                         "\"spilled_bytes\": {}, \"counterexample\": {}{}}}"
                     ),
-                    json_escape(&r.algorithm),
-                    json_escape(r.model),
+                    escape(&r.algorithm),
+                    escape(r.model),
                     r.n,
                     opt_u64(r.seed),
                     r.explored,

@@ -33,40 +33,14 @@ pub fn try_parse_bytes(s: &str) -> Result<usize, String> {
         .ok_or_else(|| format!("byte quantity {s:?} overflows usize"))
 }
 
-/// Panicking form of [`try_parse_bytes`] (the historical `bench::cli` API,
-/// kept for the binaries' non-manifest flags).
-#[must_use]
-pub fn parse_bytes(s: &str) -> usize {
-    try_parse_bytes(s).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Parses `--mem-budget <bytes>` (`k`/`m`/`g` suffixes accepted): the
-/// exploration memory budget forwarded to the explorer's
-/// `Bounds::mem_budget` (visited hot tier + frontier ring; spills
-/// delta-compressed runs to disk beyond it). Absent = unbounded.
-#[must_use]
-pub fn mem_budget_of(args: &[String]) -> Option<usize> {
-    value_of(args, "--mem-budget").map(|v| parse_bytes(&v))
-}
-
-/// Parses a `--sizes 32,64,...` override, falling back to `default`.
-#[must_use]
-pub fn sizes_of(args: &[String], default: &[usize]) -> Vec<usize> {
-    value_of(args, "--sizes").map_or_else(
-        || default.to_vec(),
-        |list| {
-            list.split(',')
-                .map(|s| s.trim().parse().expect("--sizes takes e.g. 32,64"))
-                .collect()
-        },
-    )
-}
-
-fn u64_flag(
+/// Parses `--<flag> N` as a non-negative integer of any width; a value
+/// that does not parse (or does not fit) is a structured `bad_type` error
+/// naming `field`, never a panic.
+pub fn int_flag<T: std::str::FromStr>(
     args: &[String],
     flag: &str,
-    field: &'static str,
-) -> Result<Option<u64>, ManifestError> {
+    field: &str,
+) -> Result<Option<T>, ManifestError> {
     match value_of(args, flag) {
         None => Ok(None),
         Some(v) => v.parse().map(Some).map_err(|_| ManifestError {
@@ -102,14 +76,14 @@ pub fn manifest_from_args(
         }
         m.sizes = Some(sizes);
     }
-    m.threads =
-        u64_flag(args, "--threads", "threads")?.map(|t| u32::try_from(t).unwrap_or(u32::MAX));
-    m.seed = u64_flag(args, "--seed", "seed")?;
-    m.polls = u64_flag(args, "--polls", "polls")?;
-    m.waiters = u64_flag(args, "--waiters", "waiters")?;
-    m.n = u64_flag(args, "--n", "n")?;
-    m.cycles = u64_flag(args, "--cycles", "cycles")?;
-    m.max_polls = u64_flag(args, "--max-polls", "max_polls")?;
+    m.threads = int_flag::<u64>(args, "--threads", "threads")?
+        .map(|t| u32::try_from(t).unwrap_or(u32::MAX));
+    m.seed = int_flag(args, "--seed", "seed")?;
+    m.polls = int_flag(args, "--polls", "polls")?;
+    m.waiters = int_flag(args, "--waiters", "waiters")?;
+    m.n = int_flag(args, "--n", "n")?;
+    m.cycles = int_flag(args, "--cycles", "cycles")?;
+    m.max_polls = int_flag(args, "--max-polls", "max_polls")?;
     if let Some(v) = value_of(args, "--mem-budget") {
         let bytes = try_parse_bytes(&v).map_err(|message| ManifestError {
             code: "bad_type",
@@ -165,10 +139,10 @@ mod tests {
 
     #[test]
     fn byte_suffixes() {
-        assert_eq!(parse_bytes("64k"), 64 << 10);
-        assert_eq!(parse_bytes("512m"), 512 << 20);
-        assert_eq!(parse_bytes("1g"), 1 << 30);
-        assert_eq!(parse_bytes(" 65536 "), 65536);
+        assert_eq!(try_parse_bytes("64k"), Ok(64 << 10));
+        assert_eq!(try_parse_bytes("512m"), Ok(512 << 20));
+        assert_eq!(try_parse_bytes("1g"), Ok(1 << 30));
+        assert_eq!(try_parse_bytes(" 65536 "), Ok(65536));
         assert!(try_parse_bytes("lots").is_err());
     }
 }

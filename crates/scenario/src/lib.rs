@@ -14,12 +14,13 @@
 //!   FNV-1a-128 content hash, and the `--flag value` CLI helpers the
 //!   binaries share.
 //!
-//! `bench` re-exports `rows` and `canon` (so existing `bench::E9Row` /
-//! `bench::canon::e9_json` paths still work, byte-for-byte), and
-//! `rmr-adversary` re-exports [`PhaseTimings`]. The determinism contract —
-//! canonical output identical across thread counts — is what lets the job
-//! server promise that a served manifest equals the corresponding `exp_*`
-//! `--canon` run exactly, and what makes the job log replayable.
+//! `bench` re-exports `rows` (so `bench::E9Row` et al. still work), and
+//! `rmr-adversary` re-exports [`PhaseTimings`]. `bench::run` is the one
+//! entry path that runs a manifest and renders its rows through [`canon`]:
+//! the `exp_*` binaries' `--canon` files and the `shm-serve` job results
+//! are the same bytes. The determinism contract — canonical output
+//! identical across thread counts — is what makes that promise hold at any
+//! thread count, and what makes the job log replayable.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -19,9 +19,12 @@
 //!   stdout).
 //!
 //! Exit codes: 0 success, 1 replay mismatch / server error, 2 bad usage or
-//! rejected submission.
+//! rejected submission. A malformed numeric flag exits 2 with a structured
+//! `cc-dsm/error/v1` JSON diagnostic on stderr.
 
-use bench::cli::value_of;
+use shm_scenario::cli::{int_flag, value_of};
+use shm_scenario::json;
+use shm_scenario::ManifestError;
 use shm_serve::{replay, ServeConfig, Server};
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -40,20 +43,27 @@ fn main() {
     std::process::exit(code);
 }
 
-fn cmd_run(args: &[String]) -> i32 {
-    let cfg = ServeConfig {
+fn run_config(args: &[String]) -> Result<ServeConfig, ManifestError> {
+    Ok(ServeConfig {
         results_dir: value_of(args, "--results")
             .map_or_else(|| "serve-results".into(), PathBuf::from),
         joblog: value_of(args, "--joblog").map_or_else(|| "JOBLOG.jsonl".into(), PathBuf::from),
         spool: value_of(args, "--spool").map(PathBuf::from),
         tcp: value_of(args, "--tcp"),
         unix: value_of(args, "--unix").map(PathBuf::from),
-        max_jobs: value_of(args, "--max-jobs")
-            .map(|v| v.parse().expect("--max-jobs takes a count")),
-        idle_exit_ms: value_of(args, "--idle-exit-ms")
-            .map(|v| v.parse().expect("--idle-exit-ms takes milliseconds")),
-        poll_ms: value_of(args, "--poll-ms")
-            .map_or(20, |v| v.parse().expect("--poll-ms takes milliseconds")),
+        max_jobs: int_flag(args, "--max-jobs", "max_jobs")?,
+        idle_exit_ms: int_flag(args, "--idle-exit-ms", "idle_exit_ms")?,
+        poll_ms: int_flag(args, "--poll-ms", "poll_ms")?.unwrap_or(20),
+    })
+}
+
+fn cmd_run(args: &[String]) -> i32 {
+    let cfg = match run_config(args) {
+        Ok(cfg) => cfg,
+        Err(e) => {
+            eprintln!("{}", e.to_json());
+            return 2;
+        }
     };
     let history = value_of(args, "--history");
     let server = match Server::bind(cfg) {
@@ -185,7 +195,8 @@ fn cmd_submit(args: &[String]) -> i32 {
         }
     };
     println!("{header}");
-    if header.contains("\"status\":\"error\"") {
+    let parsed = json::parse(&header).unwrap_or(json::Value::Null);
+    if parsed.get("status").and_then(json::Value::as_str) == Some("error") {
         return 2;
     }
     match value_of(args, "--out") {

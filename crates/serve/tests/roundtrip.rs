@@ -7,7 +7,8 @@
 //! job, so every test serializes on one mutex (the same pattern as
 //! `bench/tests/determinism.rs`).
 
-use bench::{canon, e10_pct_with, e5_messages, e9_explore_with};
+use bench::{e10_pct_with, e5_messages, e9_explore_with};
+use shm_scenario::canon;
 use shm_scenario::json::{self, Value};
 use shm_serve::{replay, ServeConfig, Server};
 use std::net::TcpStream;

@@ -87,14 +87,14 @@ impl AuditDivergence {
             .map_or_else(|| "null".to_string(), |p| p.0.to_string());
         format!(
             "{{\"model\": \"{}\", \"step\": {}, \"event\": {}, \"pid\": {}, \"location\": \"{}\", \"field\": \"{}\", \"expected\": \"{}\", \"actual\": \"{}\"}}",
-            json_escape(&self.model),
+            shm_obs::json::escape(&self.model),
             self.step,
             self.event,
             pid,
-            json_escape(&self.location),
-            json_escape(&self.field),
-            json_escape(&self.expected),
-            json_escape(&self.actual),
+            shm_obs::json::escape(&self.location),
+            shm_obs::json::escape(&self.field),
+            shm_obs::json::escape(&self.expected),
+            shm_obs::json::escape(&self.actual),
         )
     }
 }
@@ -152,20 +152,6 @@ impl AuditReport {
                 .map_or_else(|| "null".to_string(), AuditDivergence::to_json),
         )
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The four standard cost-model configurations every audit walks (the same
