@@ -73,7 +73,9 @@ impl Session {
     /// Writes `--canon`, finishes the observability sinks, and exits 1
     /// after listing the refuted claims on stderr, if any.
     pub fn finish(self, rows: &Rows) {
-        write_out(&value_of(&self.args, "--canon"), || rows.canon_json());
+        write_out("--canon", &value_of(&self.args, "--canon"), || {
+            rows.canon_json()
+        });
         obs_finish(&self.obs, self.collector.as_ref());
         let failures = rows.failures(&self.manifest);
         if !failures.is_empty() {
@@ -233,7 +235,9 @@ fn obs_finish(flags: &ObsFlags, collector: Option<&Arc<shm_obs::Collector>>) {
     // happens here, so the frame stream is sorted (deterministic order)
     // whatever order workers emitted in. Progress needs no collector.
     let progress_out = shm_obs::progress::finish();
-    write_out(&flags.progress_jsonl, || progress_out.unwrap_or_default());
+    write_out("--progress-jsonl", &flags.progress_jsonl, || {
+        progress_out.unwrap_or_default()
+    });
     let Some(c) = collector else { return };
     shm_obs::uninstall();
     let snap = c.snapshot();
@@ -243,13 +247,17 @@ fn obs_finish(flags: &ObsFlags, collector: Option<&Arc<shm_obs::Collector>>) {
             println!("\nspan self-time profile (top {n}):");
             print!("{}", prof.table(n));
         }
-        write_out(&flags.profile_folded, || prof.folded());
-        write_out(&flags.profile_json, || prof.to_json());
+        write_out("--profile-folded", &flags.profile_folded, || prof.folded());
+        write_out("--profile-json", &flags.profile_json, || prof.to_json());
     }
     let report = shm_obs::MetricsReport::from_snapshot(&snap);
-    write_out(&flags.metrics, || report.to_json());
-    write_out(&flags.trace_jsonl, || shm_obs::jsonl(&snap, flags.wall));
-    write_out(&flags.trace_chrome, || shm_obs::chrome_trace(&snap));
+    write_out("--metrics", &flags.metrics, || report.to_json());
+    write_out("--trace-jsonl", &flags.trace_jsonl, || {
+        shm_obs::jsonl(&snap, flags.wall)
+    });
+    write_out("--trace-chrome", &flags.trace_chrome, || {
+        shm_obs::chrome_trace(&snap)
+    });
     if flags.summary {
         println!("\nobs summary (deterministic counter totals):");
         for name in report.names() {
@@ -258,10 +266,16 @@ fn obs_finish(flags: &ObsFlags, collector: Option<&Arc<shm_obs::Collector>>) {
     }
 }
 
-/// Writes `text()` to `path` when that output was requested, and says so.
-fn write_out(path: &Option<String>, text: impl FnOnce() -> String) {
+/// Writes `text()` to `path` when output `flag` was requested, and says
+/// so. An unwritable path exits 2 with a `write_failed` diagnostic naming
+/// the flag and the path.
+fn write_out(flag: &str, path: &Option<String>, text: impl FnOnce() -> String) {
     if let Some(path) = path {
-        std::fs::write(path, text()).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        or_exit(std::fs::write(path, text()).map_err(|e| ManifestError {
+            code: "write_failed",
+            field: flag.trim_start_matches('-').into(),
+            message: format!("cannot write {flag} file {path:?}: {e}"),
+        }));
         println!("wrote {path}");
     }
 }

@@ -77,6 +77,35 @@ fn malformed_obs_flags_exit_2_with_structured_error() {
 }
 
 #[test]
+fn unwritable_output_paths_exit_2_with_structured_error() {
+    let missing = std::env::temp_dir()
+        .join(format!("cc-dsm-missing-{}", std::process::id()))
+        .join("out.json");
+    let path = missing.display().to_string();
+    for (flag, field) in [("--canon", "canon"), ("--metrics", "metrics")] {
+        let out = run_bin(
+            CASES[4].0,
+            &["--n".into(), "4".into(), flag.into(), path.clone()],
+        );
+        assert_eq!(out.status.code(), Some(2), "{flag} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let line = stderr.lines().last().unwrap_or_default();
+        let err = json::parse(line).unwrap_or_else(|e| panic!("{stderr}: {e}"));
+        let get = |key| err.get(key).and_then(Value::as_str);
+        assert_eq!(get("schema"), Some("cc-dsm/error/v1"));
+        assert_eq!(
+            (get("code"), get("field")),
+            (Some("write_failed"), Some(field))
+        );
+        let message = get("message").unwrap_or_default();
+        assert!(
+            message.contains(flag) && message.contains(&path),
+            "{message} must name {flag} and {path}"
+        );
+    }
+}
+
+#[test]
 fn both_escapers_round_trip_control_characters() {
     let s = "tab\there, line\nbreak, \u{1}, \"quoted\" \\ é";
     for escaped in [shm_obs::json::escape(s), shm_scenario::json::escape(s)] {

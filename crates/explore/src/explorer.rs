@@ -226,8 +226,6 @@ struct Walker<'a> {
     node_calls: Vec<CallRecord>,
     /// Open-call map paired with [`Walker::node_calls`].
     node_open: Vec<usize>,
-    /// Reusable state-word buffer for dedup-key fingerprints.
-    words_buf: Vec<u64>,
     /// Recycled node checkpoints: [`Simulator::snapshot_reuse`] makes the
     /// per-node snapshot allocation-free at steady state.
     ckpt_pool: Vec<Checkpoint>,
@@ -271,15 +269,14 @@ impl<'a> Walker<'a> {
             open_buf: Vec::new(),
             node_calls: Vec::new(),
             node_open: Vec::new(),
-            words_buf: Vec::new(),
             ckpt_pool: Vec::new(),
             class_pool: Vec::new(),
         }
     }
 
     fn key_of(
-        &mut self,
-        sim: &Simulator,
+        &self,
+        sim: &mut Simulator,
         sleep: u64,
         last: ProcId,
         preempts: u32,
@@ -299,10 +296,7 @@ impl<'a> Walker<'a> {
         for oracle in self.oracles {
             ctx = ctx.rotate_left(7) ^ oracle.dedup_context_with(sim, calls);
         }
-        let mut words = std::mem::take(&mut self.words_buf);
-        let fp = sim.state_fingerprint_with(&mut words);
-        self.words_buf = words;
-        (fp, sleep, aux, ctx)
+        (sim.incremental_fingerprint(), sleep, aux, ctx)
     }
 
     /// Marks `key` visited; returns `false` (and counts a dedup hit) when it

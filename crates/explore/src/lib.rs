@@ -26,6 +26,9 @@
 //!   [`shm_sim::Simulator::state_fingerprint`] — the per-process projection
 //!   fingerprints of PR 1 plus memory, cost-model, and stats state — so
 //!   different interleavings of the same per-process behaviors converge.
+//!   The explorer reads it through
+//!   [`shm_sim::Simulator::incremental_fingerprint`], which rehashes only
+//!   the process and cell a step touched.
 //!   Equal fingerprints certify identical *state* futures, but an oracle
 //!   verdict can also depend on the cross-process invoke/return **order** of
 //!   the path (e.g. `FalseAfterSignalCompleted` condemns a pending poll only

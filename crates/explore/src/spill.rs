@@ -4,18 +4,21 @@
 //! A *run* is a strictly ascending sequence of dedup [`Key`]s encoded in
 //! blocks of [`KEYS_PER_BLOCK`]. Each block opens with its first key in
 //! absolute form and continues with per-key deltas: the 128-bit fingerprint
-//! lead is varint-encoded as the difference from the previous key (sorted
-//! runs make these small), and the three trailing words (sleep set, bound
-//! word, oracle context) are varint-encoded XORed against their
-//! predecessors (they repeat heavily across neighboring states, so the XOR
-//! is usually a one-byte zero). Blocks decode independently, so a membership
-//! probe touches exactly one block.
+//! lead is varint-encoded as the difference from the previous key, and the
+//! three trailing words (sleep set, bound word, oracle context) are
+//! varint-encoded XORed against their predecessors (they repeat heavily
+//! across neighboring states, so the XOR is usually a one-byte zero).
+//! Fingerprints are uniform 128-bit hashes, so even sorted neighbors differ
+//! by ~2^120 and a fingerprint delta takes ~17 bytes: a block is mostly
+//! fingerprint bytes, and decoding them dominates a block scan. Blocks
+//! decode independently, so a membership probe touches exactly one block.
 //!
 //! Probing is a three-stage funnel:
 //!
-//! 1. a [`Prefilter`] (two-probe Bloom-style bitset over the fingerprint)
-//!    rejects most absent keys without touching the fences or the backing
-//!    bytes at all;
+//! 1. a [`Prefilter`] (four-probe Bloom-style bitset over the whole key,
+//!    fingerprint and trailing words alike) rejects most absent keys —
+//!    including a visited state's siblings under other sleep sets — without
+//!    touching the fences or the backing bytes at all;
 //! 2. in-memory *fence pointers* ([`Fence`]: first key + byte extent per
 //!    block) binary-search to the single candidate block;
 //! 3. the block is decoded (from an in-memory slice or one file read) and
@@ -29,7 +32,7 @@
 /// A dedup key: the 128-bit state fingerprint followed by the sleep set,
 /// the preemption-bound word, and the oracle order-witness context (see
 /// `explorer.rs` for the semantics of each word). Ordered
-/// fingerprint-first, which keeps deltas small in sorted runs.
+/// fingerprint-first.
 pub type Key = (u128, u64, u64, u64);
 
 /// Logical size of a key in bytes (16 + 3 × 8).
@@ -68,17 +71,25 @@ pub(crate) fn read_varint(buf: &[u8], pos: &mut usize) -> u64 {
     }
 }
 
+/// Decodes a [`push_varint128`] value. Groups accumulate nine at a time
+/// (63 bits) in a `u64` and only then merge into the `u128`: three chunks
+/// cover all 19 groups of a full-width value, and the wide shifts run
+/// once per chunk instead of once per byte.
 fn read_varint128(buf: &[u8], pos: &mut usize) -> u128 {
     let mut v = 0u128;
     let mut shift = 0u32;
     loop {
-        let b = buf[*pos];
-        *pos += 1;
-        v |= u128::from(b & 0x7f) << shift;
-        if b < 0x80 {
-            return v;
+        let mut acc = 0u64;
+        for group in 0..9 {
+            let b = buf[*pos];
+            *pos += 1;
+            acc |= u64::from(b & 0x7f) << (7 * group);
+            if b < 0x80 {
+                return v | u128::from(acc) << shift;
+            }
         }
-        shift += 7;
+        v |= u128::from(acc) << shift;
+        shift += 63;
     }
 }
 
@@ -268,10 +279,21 @@ pub fn fence_for(fences: &[Fence], key: &Key) -> Option<usize> {
 
 // ------------------------------------------------------------ prefilter ----
 
-/// Two-probe Bloom-style membership prefilter over the fingerprint lead of
-/// the key. No false negatives: a clear probe proves absence, so most
-/// absent-key lookups never touch the fences or the backing bytes. False
-/// positives only cost a (still exact) block probe.
+/// The murmur3 64-bit finalizer: a bijective avalanche mix.
+fn fmix64(mut x: u64) -> u64 {
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    x ^ (x >> 33)
+}
+
+/// Four-probe Bloom-style membership prefilter over the whole [`Key`]. No
+/// false negatives: a clear probe proves absence, so most absent-key
+/// lookups never touch the fences or the backing bytes. False positives
+/// only cost a (still exact) block probe. Hashing the trailing words too
+/// matters: one state is commonly reached under several sleep sets, and a
+/// fingerprint-only filter would pass every such sibling key.
 #[derive(Clone, Debug)]
 pub struct Prefilter {
     bits: Vec<u64>,
@@ -290,28 +312,35 @@ impl Prefilter {
         }
     }
 
-    fn probes(&self, fp: u128) -> (u64, u64) {
-        // Two independent multiplicative mixes of the two fingerprint
-        // halves; the fingerprint is already a polynomial hash, so this is
-        // cheap insurance, not real hashing.
-        let lo = (fp as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let hi = ((fp >> 64) as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
-        ((lo >> 7) & self.mask, (hi >> 9) & self.mask)
+    fn probes(&self, key: &Key) -> [u64; 4] {
+        // The fingerprint halves are already polynomial-hash output; the
+        // low-entropy trailing words are spread by odd multipliers before
+        // one finalizer per half. Double hashing (h1 + i·h2, h2 odd)
+        // derives the four bit positions.
+        let (fp, sleep, bound, ctx) = *key;
+        let h1 = fmix64(fp as u64 ^ sleep.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let h2 = fmix64(
+            (fp >> 64) as u64
+                ^ bound.wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
+                ^ ctx.wrapping_mul(0x1656_67B1_9E37_79F9),
+        ) | 1;
+        [0u64, 1, 2, 3].map(|i| h1.wrapping_add(i.wrapping_mul(h2)) & self.mask)
     }
 
-    /// Marks `fp` present.
-    pub fn insert(&mut self, fp: u128) {
-        let (a, b) = self.probes(fp);
-        self.bits[(a / 64) as usize] |= 1 << (a % 64);
-        self.bits[(b / 64) as usize] |= 1 << (b % 64);
+    /// Marks `key` present.
+    pub fn insert(&mut self, key: &Key) {
+        for bit in self.probes(key) {
+            self.bits[(bit / 64) as usize] |= 1 << (bit % 64);
+        }
     }
 
-    /// `false` proves `fp` was never inserted; `true` means "probe the run".
+    /// `false` proves `key` was never inserted; `true` means "probe the
+    /// run".
     #[must_use]
-    pub fn maybe_contains(&self, fp: u128) -> bool {
-        let (a, b) = self.probes(fp);
-        self.bits[(a / 64) as usize] >> (a % 64) & 1 == 1
-            && self.bits[(b / 64) as usize] >> (b % 64) & 1 == 1
+    pub fn maybe_contains(&self, key: &Key) -> bool {
+        self.probes(key)
+            .iter()
+            .all(|&bit| self.bits[(bit / 64) as usize] >> (bit % 64) & 1 == 1)
     }
 
     /// Resident size of the bit array in bytes.
@@ -342,7 +371,7 @@ impl CompressedKeySet {
         let mut filter = Prefilter::with_capacity(keys.len());
         for &k in keys {
             enc.push(k);
-            filter.insert(k.0);
+            filter.insert(&k);
         }
         let (bytes, fences, count, total) = enc.finish();
         debug_assert_eq!(bytes.len() as u64, total, "nothing drained");
@@ -369,7 +398,7 @@ impl CompressedKeySet {
     /// Exact membership.
     #[must_use]
     pub fn contains(&self, key: &Key) -> bool {
-        if !self.filter.maybe_contains(key.0) {
+        if !self.filter.maybe_contains(key) {
             return false;
         }
         let Some(fi) = fence_for(&self.fences, key) else {

@@ -32,7 +32,8 @@ use crate::spill::{
 };
 use std::collections::{HashSet, VecDeque};
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -160,7 +161,7 @@ impl ColdRun {
         let mut filter = Prefilter::with_capacity(approx);
         for key in keys {
             enc.push(key);
-            filter.insert(key.0);
+            filter.insert(&key);
             if enc.buffered() >= WBUF_FLUSH {
                 file.write_all(&enc.drain())?;
             }
@@ -179,15 +180,19 @@ impl ColdRun {
 
     /// Exact membership; reads at most one block from disk. The prefilter
     /// check happens in [`VisitedStore::lookup`] so a miss never gets here.
-    fn contains(&mut self, key: &Key, block_buf: &mut Vec<u8>) -> std::io::Result<bool> {
+    fn contains(&self, key: &Key, block_buf: &mut Vec<u8>) -> std::io::Result<bool> {
         let Some(fi) = fence_for(&self.fences, key) else {
             return Ok(false);
         };
         let f = &self.fences[fi];
-        block_buf.resize(f.len as usize, 0);
-        self.file.seek(SeekFrom::Start(f.offset))?;
-        self.file.read_exact(block_buf)?;
+        self.read_block(f, block_buf)?;
         Ok(block_contains(block_buf, f.count, key))
+    }
+
+    /// Reads `f`'s encoded block into `buf` with one positioned read.
+    fn read_block(&self, f: &Fence, buf: &mut Vec<u8>) -> std::io::Result<()> {
+        buf.resize(f.len as usize, 0);
+        self.file.read_exact_at(buf, f.offset)
     }
 
     /// Resident index footprint (fences + prefilter); the key bytes are on
@@ -231,9 +236,7 @@ impl RunCursor {
             }
             let f = &self.run.fences[self.fi];
             self.fi += 1;
-            self.block.resize(f.len as usize, 0);
-            self.run.file.seek(SeekFrom::Start(f.offset))?;
-            self.run.file.read_exact(&mut self.block)?;
+            self.run.read_block(f, &mut self.block)?;
             self.keys.clear();
             self.pos = 0;
             spill::decode_block_into(&self.block, f.count, &mut self.keys);
@@ -265,10 +268,12 @@ pub struct VisitedStore {
     peak_bytes: u64,
     block_buf: Vec<u8>,
     /// Exact-state fallback: fingerprint collisions would silently merge
-    /// distinct states, so debug builds (and `exact-fingerprints` feature
-    /// builds of shm-sim, via the same cfg) keep the full word encodings
-    /// across *all* tiers — a key that spilled to disk still has its words
-    /// here — and assert every dedup hit, whichever tier answered it.
+    /// distinct states, so debug builds keep the full word encodings across
+    /// *all* tiers — a key that spilled to disk still has its words here —
+    /// and assert every dedup hit, whichever tier answered it. (Release
+    /// builds with shm-sim's `exact-fingerprints` feature check the
+    /// incremental fingerprint against the full fold instead; they do not
+    /// keep this map.)
     #[cfg(debug_assertions)]
     exact: std::collections::HashMap<Key, Vec<u64>>,
 }
@@ -341,19 +346,18 @@ impl VisitedStore {
         if self.base.as_deref().is_some_and(|b| b.contains(key)) {
             return Lookup::Base;
         }
-        if !self.runs.is_empty() {
-            for run in &mut self.runs {
-                if !run.filter.maybe_contains(key.0) {
-                    continue;
-                }
-                shm_obs::counter!("store.cold_probes");
-                let mut buf = std::mem::take(&mut self.block_buf);
-                let hit = run.contains(key, &mut buf).expect("spill run read");
-                self.block_buf = buf;
-                if hit {
-                    return Lookup::Cold;
-                }
+        for run in &self.runs {
+            if !run.filter.maybe_contains(key) {
+                continue;
             }
+            shm_obs::counter!("store.cold_probes");
+            if run
+                .contains(key, &mut self.block_buf)
+                .expect("spill run read")
+            {
+                return Lookup::Cold;
+            }
+            shm_obs::counter!("store.cold_misses");
         }
         Lookup::New
     }
@@ -668,10 +672,9 @@ impl<T> SpillQueue<T> {
             self.path = Some(path);
             self.file = Some(file);
         }
-        let file = self.file.as_mut().expect("just ensured");
-        file.seek(SeekFrom::Start(self.file_bytes))
-            .expect("frontier spill seek");
-        file.write_all(&self.wbuf).expect("frontier spill write");
+        let file = self.file.as_ref().expect("just ensured");
+        file.write_all_at(&self.wbuf, self.file_bytes)
+            .expect("frontier spill write");
         self.file_bytes += self.wbuf.len() as u64;
         self.wbuf.clear();
     }
@@ -716,13 +719,14 @@ impl<T> SpillQueue<T> {
         if self.rpos >= self.file_bytes {
             self.flush_wbuf();
         }
-        let file = self.file.as_mut().expect("cold entries exist");
+        let file = self.file.as_ref().expect("cold entries exist");
         let mut header = [0u8; 4];
-        file.seek(SeekFrom::Start(self.rpos)).expect("spill seek");
-        file.read_exact(&mut header).expect("spill read");
+        file.read_exact_at(&mut header, self.rpos)
+            .expect("spill read");
         let n = u32::from_le_bytes(header) as usize;
         let mut entry = vec![0u8; n];
-        file.read_exact(&mut entry).expect("spill read");
+        file.read_exact_at(&mut entry, self.rpos + 4)
+            .expect("spill read");
         self.rpos += 4 + n as u64;
         self.cold_len -= 1;
         self.len -= 1;

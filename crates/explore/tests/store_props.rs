@@ -3,7 +3,9 @@
 //! reports are invariant under any memory budget (spilling moves keys and
 //! nodes between tiers, never changes answers).
 
-use shm_explore::spill::{CompressedKeySet, Key};
+use shm_explore::spill::{
+    block_contains, decode_block_into, CompressedKeySet, Key, Prefilter, RunEncoder,
+};
 use shm_explore::store::VisitedStore;
 use shm_explore::{check, Bounds, ScenarioSpec};
 use shm_sim::rng::mix64;
@@ -63,6 +65,129 @@ fn run_encoder_round_trips_random_sorted_batches() {
             let absent = (k.0, k.1, k.2 ^ 0x8000_0000_0000_0000, k.3);
             assert!(!set.contains(&absent), "case {case}: absent key");
         }
+    }
+}
+
+/// Encodes `keys` (strictly ascending) as one run and returns each block's
+/// bytes with its key count.
+fn encode_blocks(keys: &[Key]) -> Vec<(Vec<u8>, u32)> {
+    let mut enc = RunEncoder::new();
+    for &k in keys {
+        enc.push(k);
+    }
+    let (bytes, fences, _, total) = enc.finish();
+    assert_eq!(bytes.len() as u64, total, "nothing drained");
+    fences
+        .iter()
+        .map(|f| {
+            let start = f.offset as usize;
+            (bytes[start..start + f.len as usize].to_vec(), f.count)
+        })
+        .collect()
+}
+
+/// The u128 varint at its chunk and width boundaries, both as a block's
+/// absolute first fingerprint and as a delta from a zero predecessor.
+#[test]
+fn u128_varint_round_trips_at_width_boundaries() {
+    for v in [0u128, (1 << 63) - 1, 1 << 63, 1 << 126, 1 << 127, u128::MAX] {
+        let mut decoded = Vec::new();
+        for (block, count) in encode_blocks(&[(v, 1, 2, 3)]) {
+            decode_block_into(&block, count, &mut decoded);
+        }
+        assert_eq!(decoded, vec![(v, 1, 2, 3)], "absolute {v:#x}");
+        if v > 0 {
+            let keys = [(0, 0, 0, 0), (v, u64::MAX, 0, 1)];
+            decoded.clear();
+            for (block, count) in encode_blocks(&keys) {
+                decode_block_into(&block, count, &mut decoded);
+            }
+            assert_eq!(decoded, keys, "delta {v:#x}");
+        }
+    }
+}
+
+/// The early-exit membership scan must agree with a full decode, including
+/// on blocks whose fingerprint deltas take all 19 varint groups (≥ 2^126)
+/// and on uniform random fingerprints (~17-byte deltas).
+#[test]
+fn block_contains_agrees_with_decode_on_wide_deltas() {
+    let wide: Vec<Key> = vec![
+        (0, 0, 0, 0),
+        (0, 1, 0, 0),
+        (1 << 126, 0, 5, 0),
+        (1 << 127, 3, 0, 9),
+        ((1 << 127) + (1 << 126), 0, 0, 0),
+        ((1 << 127) + (1 << 126), 0, 0, 1),
+        (u128::MAX, u64::MAX, u64::MAX, u64::MAX),
+    ];
+    let mut x = 0x5EED_u64;
+    let mut random: Vec<Key> = (0..600)
+        .map(|i| {
+            x = mix64(x);
+            let fp = u128::from(x) << 64 | u128::from(mix64(x ^ 1));
+            (fp, i % 3, 0, x % 5)
+        })
+        .collect();
+    random.sort_unstable();
+    random.dedup();
+    for keys in [wide, random] {
+        for (block, count) in encode_blocks(&keys) {
+            let mut decoded = Vec::new();
+            decode_block_into(&block, count, &mut decoded);
+            assert_eq!(decoded.len(), count as usize);
+            for k in &decoded {
+                assert!(block_contains(&block, count, k), "present {k:?}");
+                for probe in [
+                    (k.0.wrapping_add(1), k.1, k.2, k.3),
+                    (k.0.wrapping_sub(1), k.1, k.2, k.3),
+                    (k.0, k.1 ^ 1, k.2, k.3),
+                    (k.0, k.1, k.2 ^ 1, k.3),
+                    (k.0, k.1, k.2, k.3 ^ 1),
+                ] {
+                    assert_eq!(
+                        block_contains(&block, count, &probe),
+                        decoded.contains(&probe),
+                        "probe {probe:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The prefilter hashes the whole key: keys sharing a fingerprint but
+/// differing in sleep set, bound word or context are each present, and
+/// the filter's size depends only on the requested capacity.
+#[test]
+fn prefilter_has_no_false_negatives_across_trailing_words() {
+    let fps = [0u128, 1, 1 << 127, u128::MAX, 0x0123_4567_89AB_CDEF << 40];
+    let keys: Vec<Key> = fps
+        .iter()
+        .flat_map(|&fp| (0..64u64).map(move |i| (fp, i % 8, (i / 8) % 4 * (1 << 32), mix64(i) % 5)))
+        .collect();
+    let mut filter = Prefilter::with_capacity(keys.len());
+    for k in &keys {
+        filter.insert(k);
+    }
+    for k in &keys {
+        assert!(filter.maybe_contains(k), "false negative for {k:?}");
+    }
+    // Sized at ~8 bits per key, rounded up to a power of two, ≥ 512 bits;
+    // the visited store's logical byte accounting depends on these sizes.
+    for (capacity, bytes) in [
+        (0, 64),
+        (64, 64),
+        (65, 128),
+        (1000, 1024),
+        (4096, 4096),
+        (1 << 20, 1 << 20),
+    ] {
+        assert_eq!(
+            Prefilter::with_capacity(capacity).resident_bytes(),
+            bytes,
+            "capacity {capacity}"
+        );
     }
 }
 

@@ -300,6 +300,11 @@ pub mod registry {
             help: "visited-store disk-run probes (prefilter passes; includes false positives)",
         },
         CounterDef {
+            name: "store.cold_misses",
+            deterministic: true,
+            help: "visited-store disk-run probes that missed (prefilter false positives)",
+        },
+        CounterDef {
             name: "store.spilled_bytes",
             deterministic: true,
             help: "delta-compressed bytes spilled to disk (visited runs + packed frontier nodes)",

@@ -405,13 +405,13 @@ pub struct History {
 }
 
 /// Odd multiplier for the polynomial fingerprint (random 128-bit constant).
-const FP_MUL: u128 = 0x9ddf_ea08_eb38_2d69_a54f_f53a_5f1d_36f1;
+pub(crate) const FP_MUL: u128 = 0x9ddf_ea08_eb38_2d69_a54f_f53a_5f1d_36f1;
 
 /// Fingerprint of the empty projection.
 const FP_EMPTY: u128 = 0;
 
 #[inline]
-fn fp_absorb(h: u128, word: u64) -> u128 {
+pub(crate) fn fp_absorb(h: u128, word: u64) -> u128 {
     h.wrapping_mul(FP_MUL)
         .wrapping_add(u128::from(crate::rng::mix64(word)))
 }

@@ -72,6 +72,7 @@ pub mod rng;
 pub mod sched;
 pub mod sim;
 pub mod source;
+mod statefp;
 pub mod trace;
 
 pub use audit::{AuditDivergence, AuditReport};

@@ -239,13 +239,28 @@ impl CostState {
     /// fingerprints so deduplication never merges states that would charge
     /// differently.
     pub fn encode_state(&self, out: &mut Vec<u64>) {
+        self.for_each_state_word(|w| out.push(w));
+    }
+
+    /// Visits the words of [`CostState::encode_state`] in order without
+    /// materializing them.
+    pub(crate) fn for_each_state_word(&self, mut f: impl FnMut(u64)) {
         if self.stride == 0 {
             return;
         }
         for cell in self.valid.chunks_exact(self.stride) {
-            out.push(procset::len(cell));
-            procset::for_each_member(cell, |p| out.push(u64::from(p.0)));
+            f(procset::len(cell));
+            procset::for_each_member(cell, |p| f(u64::from(p.0)));
         }
+    }
+
+    /// Upper bound on the length of [`CostState::encode_state`]: every
+    /// cell's count word plus all `n` holders.
+    pub(crate) fn max_state_words(&self) -> usize {
+        self.valid
+            .len()
+            .checked_div(self.stride)
+            .map_or(0, |cells| cells * (1 + self.n_procs))
     }
 
     /// Prices the access `applied` performed by `pid` on `addr` (whose module

@@ -1,13 +1,14 @@
 //! The simulator: deterministic execution of step machines over shared
 //! memory with exact cost accounting, schedule recording, and replay.
 
-use crate::event::{Event, History};
+use crate::event::{fp_absorb, Event, History};
 use crate::ids::{ProcId, Word};
 use crate::machine::{Call, CallKind, Step};
 use crate::mem::{MemLayout, Memory};
 use crate::model::{AccessCost, CostModel, CostState};
 use crate::op::Op;
 use crate::source::CallSource;
+use crate::statefp::{hash_block, FpCache, CELL_WORDS, PROC_WORDS};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -178,6 +179,8 @@ pub struct Checkpoint {
     first_touch: Vec<Option<usize>>,
     first_write: Vec<Option<usize>>,
     injections_len: usize,
+    /// The incremental fingerprint cache, stale-block marks included.
+    fp: FpCache,
 }
 
 impl Checkpoint {
@@ -271,6 +274,9 @@ pub struct Simulator {
     checkpoints: Vec<Arc<Checkpoint>>,
     /// Steps between snapshots; 0 = checkpointing disabled.
     ckpt_interval: usize,
+    /// Block hashes behind [`Simulator::incremental_fingerprint`]; off
+    /// until its first call.
+    fp: FpCache,
 }
 
 impl Simulator {
@@ -311,6 +317,7 @@ impl Simulator {
             injections: Vec::new(),
             checkpoints: Vec::new(),
             ckpt_interval: 0,
+            fp: FpCache::default(),
         }
     }
 
@@ -393,14 +400,20 @@ impl Simulator {
             first_touch: self.first_touch.clone(),
             first_write: self.first_write.clone(),
             injections_len: self.injections.len(),
+            fp: self.fp.clone(),
         }
     }
 
     /// [`Simulator::snapshot`] recycling a previously returned checkpoint's
     /// allocations. Exploration loops snapshot every expanded node; pooling
     /// the checkpoints makes that allocation-free at steady state.
+    ///
+    /// Also brings the [`Simulator::incremental_fingerprint`] cache up to
+    /// date first (building it if it is off), so a restore to this
+    /// checkpoint leaves only the blocks stepped after it to rehash.
     #[must_use]
-    pub fn snapshot_reuse(&self, prev: Option<Checkpoint>) -> Checkpoint {
+    pub fn snapshot_reuse(&mut self, prev: Option<Checkpoint>) -> Checkpoint {
+        self.freshen_fp();
         let Some(mut c) = prev else {
             return self.snapshot();
         };
@@ -425,6 +438,7 @@ impl Simulator {
         c.first_touch.clone_from(&self.first_touch);
         c.first_write.clone_from(&self.first_write);
         c.injections_len = self.injections.len();
+        c.fp.copy_from(&self.fp);
         c
     }
 
@@ -468,6 +482,7 @@ impl Simulator {
         self.first_touch.clone_from(&ckpt.first_touch);
         self.first_write.clone_from(&ckpt.first_write);
         self.injections.truncate(ckpt.injections_len);
+        self.fp.copy_from(&ckpt.fp);
         self.checkpoints
             .retain(|c| c.schedule_len <= ckpt.schedule_len);
     }
@@ -514,6 +529,7 @@ impl Simulator {
                 .cloned()
                 .collect(),
             ckpt_interval: self.ckpt_interval,
+            fp: FpCache::default(),
         }
     }
 
@@ -850,6 +866,7 @@ impl Simulator {
     /// back to the replay-based path.
     pub fn erase_certified_in_place(&mut self, spec: &SimSpec, batch: &BTreeSet<ProcId>) -> bool {
         let _span = shm_obs::Span::enter("sim.erase");
+        self.fp.invalidate();
         if self.cost.model() != CostModel::Dsm {
             let ok = self.erase_certified_in_place_replay(spec, batch);
             shm_obs::count(if ok { "erase.replay" } else { "erase.refused" }, 1);
@@ -1247,6 +1264,7 @@ impl Simulator {
     /// maintenance. For audit-layer tamper tests only.
     #[cfg(test)]
     pub(crate) fn history_mut(&mut self) -> &mut History {
+        self.fp.invalidate();
         &mut self.history
     }
 
@@ -1325,6 +1343,7 @@ impl Simulator {
         }
         self.schedule.push(pid);
         self.totals.steps += 1;
+        self.fp.touch_proc(pid.index());
         shm_obs::counter!("sim.steps");
         let report = self.transition(pid);
         self.maybe_checkpoint();
@@ -1346,6 +1365,7 @@ impl Simulator {
             totals,
             first_write,
             schedule,
+            fp,
             ..
         } = self;
         let p = Arc::make_mut(&mut procs[pid.index()]);
@@ -1392,6 +1412,7 @@ impl Simulator {
                 };
                 let touches = memory.owner(addr).filter(|&q| q != pid);
                 let applied = memory.apply(pid, op);
+                fp.touch_cell(addr.index());
                 if applied.nontrivial && first_write[pid.index()].is_none() {
                     first_write[pid.index()] = Some(schedule.len() - 1);
                 }
@@ -1576,6 +1597,7 @@ impl Simulator {
         );
         assert!(p.status != Status::Crashed, "inject_call: {pid} crashed");
         p.status = Status::Runnable;
+        self.fp.touch_proc(pid.index());
         self.history.push(Event::Invoke {
             pid,
             kind: call.kind,
@@ -1608,71 +1630,127 @@ impl Simulator {
     /// here on (every continuation produces the same events, charges, and
     /// verdicts), because a step machine's state is a deterministic function
     /// of its local history. The schedule-space explorer deduplicates on
-    /// [`Simulator::state_fingerprint`] and uses this encoding as the exact
-    /// fallback that rules out hash collisions in debug builds.
+    /// [`Simulator::incremental_fingerprint`] and uses this encoding as the
+    /// exact fallback that rules out hash collisions in debug builds.
+    ///
+    /// Layout: 13 words per process, then 2 per memory cell (value, last
+    /// writer), then the cost model's variable-length tail — the block
+    /// structure the incremental fingerprint relies on.
     #[must_use]
     pub fn state_words(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(16 * self.procs.len() + 2 * self.memory.len());
-        self.state_words_into(&mut out);
+        let mut out = Vec::with_capacity(
+            PROC_WORDS * self.procs.len()
+                + CELL_WORDS * self.memory.len()
+                + self.cost.max_state_words(),
+        );
+        for i in 0..self.procs.len() {
+            out.extend(self.proc_words(i));
+        }
+        for a in 0..self.memory.len() {
+            out.extend(self.cell_words(a));
+        }
+        self.cost.encode_state(&mut out);
         out
     }
 
-    /// [`Simulator::state_words`] into a caller-owned buffer (cleared first),
-    /// so per-state dedup keys in hot exploration loops allocate nothing.
-    pub fn state_words_into(&self, out: &mut Vec<u64>) {
-        out.clear();
-        for (i, p) in self.procs.iter().enumerate() {
-            let pid = ProcId(i as u32);
-            let fp = self.history.fingerprint(pid);
-            out.push((fp >> 64) as u64);
-            out.push(fp as u64);
-            out.push(match p.status {
+    /// Process `i`'s block of [`Simulator::state_words`].
+    fn proc_words(&self, i: usize) -> [u64; PROC_WORDS] {
+        let p = &self.procs[i];
+        let fp = self.history.fingerprint(ProcId(i as u32));
+        // Option<Word> as (presence, value) pairs: Word is the full u64
+        // range (NIL = u64::MAX), so a +1 offset encoding would overflow.
+        [
+            (fp >> 64) as u64,
+            fp as u64,
+            match p.status {
                 Status::Runnable => 0,
                 Status::Terminated => 1,
                 Status::Crashed => 2,
-            });
-            out.push(u64::from(p.current.is_some()));
-            // Option<Word> as (presence, value) pairs: Word is the full u64
-            // range (NIL = u64::MAX), so a +1 offset encoding would overflow.
-            out.push(u64::from(p.last_op_result.is_some()));
-            out.push(p.last_op_result.unwrap_or(0));
-            out.push(u64::from(p.last_return.is_some()));
-            out.push(p.last_return.unwrap_or(0));
-            out.extend([
-                p.stats.steps,
-                p.stats.accesses,
-                p.stats.rmrs,
-                p.stats.messages,
-                p.stats.calls_completed,
-            ]);
+            },
+            u64::from(p.current.is_some()),
+            u64::from(p.last_op_result.is_some()),
+            p.last_op_result.unwrap_or(0),
+            u64::from(p.last_return.is_some()),
+            p.last_return.unwrap_or(0),
+            p.stats.steps,
+            p.stats.accesses,
+            p.stats.rmrs,
+            p.stats.messages,
+            p.stats.calls_completed,
+        ]
+    }
+
+    /// Memory cell `a`'s block of [`Simulator::state_words`]: its value and
+    /// last writer.
+    fn cell_words(&self, a: usize) -> [u64; CELL_WORDS] {
+        let addr = crate::ids::Addr(a as u32);
+        [
+            self.memory.peek(addr),
+            self.memory
+                .last_writer(addr)
+                .map_or(0, |p| 1 + u64::from(p.0)),
+        ]
+    }
+
+    /// Hash of block `b` of the state encoding (processes, then cells).
+    fn block_hash(&self, b: usize) -> u128 {
+        match b.checked_sub(self.procs.len()) {
+            None => hash_block(&self.proc_words(b)),
+            Some(a) => hash_block(&self.cell_words(a)),
         }
-        for a in 0..self.memory.len() {
-            let addr = crate::ids::Addr(a as u32);
-            out.push(self.memory.peek(addr));
-            out.push(
-                self.memory
-                    .last_writer(addr)
-                    .map_or(0, |p| 1 + u64::from(p.0)),
-            );
-        }
-        self.cost.encode_state(out);
     }
 
     /// A 128-bit fingerprint of [`Simulator::state_words`] (same polynomial
     /// family as the history projection fingerprints). Equal fingerprints
     /// certify behaviorally identical simulator states up to hash collision;
     /// the explorer's debug fallback compares the full word encodings.
+    ///
+    /// This is the reference definition; hot paths use
+    /// [`Simulator::incremental_fingerprint`], which returns the same value.
     #[must_use]
     pub fn state_fingerprint(&self) -> u128 {
         crate::event::fingerprint_words(&self.state_words())
     }
 
-    /// [`Simulator::state_fingerprint`] computed through a caller-owned
-    /// scratch buffer, avoiding the per-call word-vector allocation.
-    #[must_use]
-    pub fn state_fingerprint_with(&self, scratch: &mut Vec<u64>) -> u128 {
-        self.state_words_into(scratch);
-        crate::event::fingerprint_words(scratch)
+    /// [`Simulator::state_fingerprint`], bit for bit, at a cost proportional
+    /// to what changed since the previous call: cached per-process and
+    /// per-cell block hashes are rehashed only where a step, crash or
+    /// injection touched them, and only the cost model's cache-validity
+    /// tail is refolded (see the `statefp` module). The first call builds
+    /// the cache in O(state); checkpoints carry it, so
+    /// [`Simulator::restore`] rolls it back with the rest of the state.
+    pub fn incremental_fingerprint(&mut self) -> u128 {
+        self.freshen_fp();
+        let (mut tail, mut tail_len) = (0u128, 0usize);
+        self.cost.for_each_state_word(|w| {
+            tail = fp_absorb(tail, w);
+            tail_len += 1;
+        });
+        let h = self.fp.finish(tail, tail_len);
+        #[cfg(any(debug_assertions, feature = "exact-fingerprints"))]
+        assert_eq!(
+            h,
+            self.state_fingerprint(),
+            "incremental state fingerprint diverged from the full fold"
+        );
+        h
+    }
+
+    /// Rehashes the fingerprint cache's stale blocks, or builds the cache
+    /// if it is off.
+    fn freshen_fp(&mut self) {
+        let mut fp = std::mem::take(&mut self.fp);
+        if fp.is_live() {
+            fp.refresh(|b| self.block_hash(b));
+        } else {
+            fp.build(
+                self.procs.len(),
+                self.memory.len(),
+                self.cost.max_state_words(),
+                |b| self.block_hash(b),
+            );
+        }
+        self.fp = fp;
     }
 
     /// Crashes `pid`: it stops taking steps, mid-call or not.
@@ -1683,6 +1761,7 @@ impl Simulator {
         let p = Arc::make_mut(&mut self.procs[pid.index()]);
         if p.status == Status::Runnable {
             p.status = Status::Crashed;
+            self.fp.touch_proc(pid.index());
             self.history.push(Event::Crash { pid });
         }
     }
