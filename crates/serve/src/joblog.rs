@@ -13,11 +13,21 @@
 //! `wall_ms` on `completed` events is wall-clock telemetry, NOT part of the
 //! determinism contract; replay compares `result_sha`, `result_bytes`, and
 //! `rows` only.
+//!
+//! **Durability policy.** Appends are not fsynced: a disk flush per event
+//! would sit on every fresh job's reply path. Each event is one `write` of
+//! its line plus `\n`, so a crash or kill can leave at most the final line
+//! unterminated. An event counts only once its newline is in the file:
+//! [`JobLog::open`] truncates an unterminated final line back to the last
+//! `\n`, so its event never happened (a job whose `completed` line was
+//! torn simply re-runs), while a malformed *terminated* line anywhere in
+//! the log stays fatal.
 
 use shm_scenario::json::{self, Value};
 use shm_scenario::{Manifest, ManifestError};
-use std::io::Write as _;
-use std::path::Path;
+use std::fs::File;
+use std::io::{Read as _, Write as _};
+use std::path::{Path, PathBuf};
 
 /// Schema tag every v1 job-log line carries.
 pub const JOBLOG_SCHEMA: &str = "cc-dsm/joblog/v1";
@@ -152,7 +162,7 @@ impl Event {
                 let code = e.get("code").and_then(Value::as_str).unwrap_or("unknown");
                 // Codes are a closed set of static strings; map back to the
                 // static str (or a generic bucket for forward compatibility).
-                const CODES: [&str; 12] = [
+                const CODES: [&str; 13] = [
                     "bad_json",
                     "bad_schema",
                     "bad_type",
@@ -165,6 +175,7 @@ impl Event {
                     "unsupported_field",
                     "conflicting_fields",
                     "bad_enum",
+                    "line_too_long",
                 ];
                 let code = CODES
                     .iter()
@@ -193,26 +204,90 @@ impl Event {
     }
 }
 
-/// Appends one event to the log file (creating it if needed) and flushes.
-pub fn append(path: &Path, event: &Event) -> std::io::Result<()> {
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    writeln!(f, "{}", event.to_line())?;
-    f.flush()
+/// The job log, open for appending. The server opens it once, at startup
+/// (or at its first event, when no log exists yet, so a fresh server
+/// creates no file before it listens), and writes every event through
+/// this one handle.
+#[derive(Debug)]
+pub struct JobLog {
+    path: PathBuf,
+    file: Option<File>,
 }
 
-/// Parses every line of a job log. Empty/missing file parses to no events.
+impl JobLog {
+    /// Opens the log at `path` and returns it with the events it already
+    /// holds (none if it does not exist). An unterminated final line — a
+    /// torn append — is truncated away and reported on stderr; any other
+    /// malformed line is an error.
+    pub fn open(path: &Path) -> Result<(JobLog, Vec<Event>), String> {
+        let mut log = JobLog {
+            path: path.to_owned(),
+            file: None,
+        };
+        let mut file = match std::fs::OpenOptions::new()
+            .read(true)
+            .append(true)
+            .open(path)
+        {
+            Ok(f) => f,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((log, Vec::new())),
+            Err(e) => return Err(format!("open {}: {e}", path.display())),
+        };
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)
+            .map_err(|e| format!("read {}: {e}", path.display()))?;
+        let keep = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        if keep < bytes.len() {
+            file.set_len(keep as u64)
+                .map_err(|e| format!("truncate {}: {e}", path.display()))?;
+            eprintln!(
+                "shm-serve: joblog: truncated a torn final line ({} bytes) of {}",
+                bytes.len() - keep,
+                path.display(),
+            );
+            bytes.truncate(keep);
+        }
+        let text =
+            String::from_utf8(bytes).map_err(|e| format!("{}: not UTF-8: {e}", path.display()))?;
+        log.file = Some(file);
+        Ok((log, parse_lines(path, &text)?))
+    }
+
+    /// Appends one event as a single write of its line and newline.
+    pub fn append(&mut self, event: &Event) -> std::io::Result<()> {
+        let file = match &mut self.file {
+            Some(f) => f,
+            None => self.file.insert(
+                std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(&self.path)?,
+            ),
+        };
+        let mut line = event.to_line();
+        line.push('\n');
+        file.write_all(line.as_bytes())
+    }
+}
+
+/// Parses every line of a job log without modifying it. Empty/missing file
+/// parses to no events.
 pub fn read_all(path: &Path) -> Result<Vec<Event>, String> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(format!("read {}: {e}", path.display())),
     };
+    parse_lines(path, &text)
+}
+
+fn parse_lines(path: &Path, text: &str) -> Result<Vec<Event>, String> {
     text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(Event::parse_line)
+        .enumerate()
+        .filter(|(_, l)| !l.trim().is_empty())
+        .map(|(i, l)| {
+            Event::parse_line(l).map_err(|e| format!("{} line {}: {e}", path.display(), i + 1))
+        })
         .collect()
 }
 
@@ -255,5 +330,35 @@ mod tests {
             let back = Event::parse_line(&line).unwrap();
             assert_eq!(back.to_line(), line, "round trip differs for {line}");
         }
+    }
+
+    fn rejected() -> Event {
+        Event::Rejected {
+            source: "tcp".into(),
+            error: ManifestError {
+                code: "line_too_long",
+                field: String::new(),
+                message: "too long".into(),
+            },
+        }
+    }
+
+    #[test]
+    fn open_truncates_only_a_torn_final_line() {
+        let path = std::env::temp_dir().join(format!("joblog-torn-{}.jsonl", std::process::id()));
+        let line = rejected().to_line();
+        let whole = format!("{line}\n{line}\n");
+        std::fs::write(&path, format!("{whole}{}", &line[..20])).unwrap();
+        let (mut log, events) = JobLog::open(&path).expect("torn tail recovers");
+        assert_eq!(events.len(), 2);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), whole);
+        log.append(&rejected()).unwrap();
+        assert_eq!(read_all(&path).unwrap().len(), 3);
+
+        // A malformed terminated line is corruption, not a torn append.
+        std::fs::write(&path, format!("{}\n{whole}", &line[..20])).unwrap();
+        let err = JobLog::open(&path).unwrap_err();
+        assert!(err.contains("line 1"), "{err}");
+        let _ = std::fs::remove_file(&path);
     }
 }

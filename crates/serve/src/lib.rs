@@ -24,7 +24,9 @@ pub mod replay;
 pub mod server;
 
 pub use replay::{replay, ReplayReport, REPLAY_SCHEMA};
-pub use server::{read_reply, submit_stream, Reply, ServeConfig, ServeStats, Server, SERVE_SCHEMA};
+pub use server::{
+    read_reply, submit_stream, Reply, ServeConfig, ServeStats, Server, MAX_LINE_BYTES, SERVE_SCHEMA,
+};
 
 /// Rows in a canonical result body (shared by the server's completion
 /// events and replay's row check).

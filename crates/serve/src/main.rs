@@ -5,11 +5,17 @@
 //! - `shm-serve run [--results DIR] [--joblog FILE] [--spool DIR]
 //!   [--tcp ADDR] [--unix PATH] [--max-jobs N] [--idle-exit-ms N]
 //!   [--poll-ms N] [--history FILE]` — serve manifests from the spool
-//!   directory and/or sockets until an exit condition fires. With `--tcp`
-//!   the bound address is printed as `listening tcp HOST:PORT` (useful
-//!   with port 0). `--history` appends the run's per-kind wall times to
-//!   the `BENCH_history.jsonl` perf ledger (`serve_wall_ms.<kind>`), which
-//!   the existing `bench_diff` soft gate then watches for regressions.
+//!   directory and/or sockets until an exit condition fires: `--max-jobs`
+//!   submissions processed, or `--idle-exit-ms` with no submission
+//!   received. Sockets are event-driven (a submission is picked up as soon
+//!   as its line arrives); `--poll-ms` (default 20) sets only how often the
+//!   spool directory is scanned. With `--tcp` the bound address is printed
+//!   as `listening tcp HOST:PORT` (useful with port 0). A torn final
+//!   job-log line is truncated at startup; other job-log corruption exits
+//!   1 with `shm-serve: joblog: …`. `--history` appends the run's
+//!   per-kind wall times to the `BENCH_history.jsonl` perf ledger
+//!   (`serve_wall_ms.<kind>`), which the existing `bench_diff` soft gate
+//!   then watches for regressions.
 //! - `shm-serve replay --joblog FILE [--results DIR] [--json FILE]` —
 //!   re-execute every completed job from the log alone and assert the
 //!   results reproduce byte-for-byte; exits 1 on any mismatch.
@@ -69,7 +75,7 @@ fn cmd_run(args: &[String]) -> i32 {
     let server = match Server::bind(cfg) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("shm-serve: bind: {e}");
+            eprintln!("shm-serve: {e}");
             return 1;
         }
     };

@@ -66,8 +66,9 @@ impl ReplayReport {
 
 /// Replays every completed job in `joblog`, asserting byte-identity.
 /// `results_dir`, when given and present, adds a byte-compare against the
-/// stored `<job_id>.json` files. Errors only on an unreadable/unparseable
-/// log; mismatches land in the report.
+/// stored `<job_id>.json` files (never a leftover `<job_id>.json.tmp`).
+/// Errors only on an unreadable/unparseable log; mismatches land in the
+/// report.
 pub fn replay(joblog_path: &Path, results_dir: Option<&Path>) -> Result<ReplayReport, String> {
     let events = joblog::read_all(joblog_path)?;
     let mut manifests: BTreeMap<String, Manifest> = BTreeMap::new();
@@ -122,7 +123,7 @@ pub fn replay(joblog_path: &Path, results_dir: Option<&Path>) -> Result<ReplayRe
                     ));
                 }
                 if let Some(dir) = results_dir {
-                    let path = dir.join(format!("{job_id}.json"));
+                    let path = crate::server::result_path(dir, job_id);
                     if let Ok(stored) = std::fs::read(&path) {
                         if stored != body {
                             ok = false;

@@ -11,25 +11,43 @@
 //! — and because the completed-jobs map is rebuilt from the job log at
 //! startup, idempotency survives restarts.
 //!
+//! Ingestion is event-driven: each socket listener has one acceptor thread
+//! blocked in `accept`, every connection gets a handler thread that reads
+//! one manifest line (at most [`MAX_LINE_BYTES`], within [`READ_TIMEOUT`])
+//! and hands it to the core over a channel, and the core blocks on that
+//! channel. A socket submission therefore wakes the core once; the core
+//! otherwise wakes only to scan the spool (every `poll_ms`) or to honour
+//! `idle_exit_ms`.
+//!
 //! Jobs execute **sequentially** on purpose: the pool thread count is
 //! process-global state (each job runs at its manifest's `threads`), and
 //! the determinism contract makes concurrency a latency optimization only —
 //! canonical results are identical at any thread count. Multi-tenancy means
 //! fair FIFO queueing, not parallel jobs.
 
-use crate::joblog::{self, Event};
+use crate::joblog::{Event, JobLog};
 use shm_scenario::json::{self, Value};
 use shm_scenario::{Manifest, ManifestError};
 use std::collections::BTreeMap;
 use std::io::{BufRead as _, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
-use std::sync::mpsc;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Schema tag of socket reply headers.
 pub const SERVE_SCHEMA: &str = "cc-dsm/serve/v1";
+
+/// Longest manifest line, newline included, that a connection may send; a
+/// longer one gets a `line_too_long` error reply.
+pub const MAX_LINE_BYTES: u64 = 1 << 20;
+
+/// How long a connection may take to deliver its manifest line before it
+/// is dropped without a reply.
+pub const READ_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -46,9 +64,10 @@ pub struct ServeConfig {
     pub unix: Option<PathBuf>,
     /// Exit after processing this many submissions (tests/CI).
     pub max_jobs: Option<u64>,
-    /// Exit after this long with no submissions (tests/CI).
+    /// Exit after this long with no submission received (tests/CI).
     pub idle_exit_ms: Option<u64>,
-    /// Spool scan / accept-loop cadence in milliseconds.
+    /// Spool scan cadence in milliseconds (at least 1). Sockets are
+    /// event-driven and never wait on it.
     pub poll_ms: u64,
 }
 
@@ -125,8 +144,12 @@ impl Reply {
     }
 }
 
+/// An acceptor thread and the self-connect that wakes it from `accept`.
+type Acceptor = (JoinHandle<()>, Box<dyn Fn()>);
+
 struct SocketJob {
-    text: String,
+    /// The manifest line, or why the connection's input was refused.
+    line: Result<String, ManifestError>,
     source: &'static str,
     /// The connection to write the framed reply to. Held through the
     /// channel so the core loop writes replies synchronously — the server
@@ -141,48 +164,47 @@ pub struct Server {
     cfg: ServeConfig,
     tcp: Option<TcpListener>,
     unix: Option<UnixListener>,
+    log: JobLog,
     /// job_id → result_sha of every job whose result bytes are on disk.
     completed: BTreeMap<String, String>,
     stats: ServeStats,
 }
 
 impl Server {
-    /// Creates the results directory, rebuilds the completed-jobs map from
-    /// the job log, and binds the configured listeners.
+    /// Creates the results directory, opens the job log (recovering a torn
+    /// final line), rebuilds the completed-jobs map from it, and binds the
+    /// configured listeners. Errors name the step that failed.
     pub fn bind(cfg: ServeConfig) -> std::io::Result<Server> {
-        std::fs::create_dir_all(&cfg.results_dir)?;
+        std::fs::create_dir_all(&cfg.results_dir).map_err(labelled("results"))?;
         if let Some(spool) = &cfg.spool {
-            std::fs::create_dir_all(spool)?;
+            std::fs::create_dir_all(spool).map_err(labelled("spool"))?;
         }
+        let (log, events) = JobLog::open(&cfg.joblog).map_err(|e| {
+            std::io::Error::new(std::io::ErrorKind::InvalidData, format!("joblog: {e}"))
+        })?;
         let mut completed = BTreeMap::new();
-        let events = joblog::read_all(&cfg.joblog)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
         for ev in events {
             if let Event::Completed {
                 job_id, result_sha, ..
             } = ev
             {
                 // Trust the log only as far as the bytes still exist: a
-                // wiped results dir means the job re-runs.
-                if cfg.results_dir.join(format!("{job_id}.json")).is_file() {
+                // wiped results dir means the job re-runs. Leftover
+                // `<job_id>.json.tmp` files from an interrupted write are
+                // never consulted.
+                if result_path(&cfg.results_dir, &job_id).is_file() {
                     completed.insert(job_id, result_sha);
                 }
             }
         }
         let tcp = match &cfg.tcp {
-            Some(addr) => {
-                let l = TcpListener::bind(addr)?;
-                l.set_nonblocking(true)?;
-                Some(l)
-            }
+            Some(addr) => Some(TcpListener::bind(addr).map_err(labelled("bind tcp"))?),
             None => None,
         };
         let unix = match &cfg.unix {
             Some(path) => {
                 let _ = std::fs::remove_file(path);
-                let l = UnixListener::bind(path)?;
-                l.set_nonblocking(true)?;
-                Some(l)
+                Some(UnixListener::bind(path).map_err(labelled("bind unix"))?)
             }
             None => None,
         };
@@ -190,6 +212,7 @@ impl Server {
             cfg,
             tcp,
             unix,
+            log,
             completed,
             stats: ServeStats::default(),
         })
@@ -201,59 +224,96 @@ impl Server {
         self.tcp.as_ref().and_then(|l| l.local_addr().ok())
     }
 
-    /// Serves until `max_jobs` submissions were processed or the server sat
-    /// idle for `idle_exit_ms` (whichever is configured; with neither it
-    /// serves forever). Returns the run's stats.
+    /// Serves until `max_jobs` submissions were processed or no submission
+    /// arrived for `idle_exit_ms` (whichever is configured; with neither it
+    /// serves forever). Returns the run's stats once every acceptor thread
+    /// has stopped and released its listener.
     pub fn run(mut self) -> std::io::Result<ServeStats> {
         let (tx, rx) = mpsc::channel::<SocketJob>();
-        let mut last_activity = Instant::now();
-        let mut last_spool_scan = Instant::now() - Duration::from_secs(3600);
-        loop {
-            let mut active = false;
-            // Accept every waiting connection; each gets a handler thread
-            // that reads one manifest line and waits for its reply.
-            if let Some(l) = &self.tcp {
-                while let Ok((stream, _)) = l.accept() {
-                    let tx = tx.clone();
-                    std::thread::spawn(move || handle_conn(stream, "tcp", &tx));
-                    active = true;
-                }
-            }
-            if let Some(l) = &self.unix {
-                while let Ok((stream, _)) = l.accept() {
-                    let tx = tx.clone();
-                    std::thread::spawn(move || handle_conn(stream, "unix", &tx));
-                    active = true;
-                }
-            }
-            if last_spool_scan.elapsed() >= Duration::from_millis(self.cfg.poll_ms) {
-                last_spool_scan = Instant::now();
-                active |= self.scan_spool();
-            }
-            while let Ok(mut job) = rx.try_recv() {
-                let reply = self.execute(&job.text, job.source);
-                // A client that hung up just loses its reply.
-                let _ = write_reply(&mut job.conn, &reply);
-                active = true;
-            }
-            if active {
-                last_activity = Instant::now();
-            }
-            if let Some(max) = self.cfg.max_jobs {
-                if self.stats.processed() >= max {
-                    break;
-                }
-            }
-            if let Some(idle) = self.cfg.idle_exit_ms {
-                if last_activity.elapsed() >= Duration::from_millis(idle) {
-                    break;
-                }
-            }
-            if !active {
-                std::thread::sleep(Duration::from_millis(self.cfg.poll_ms.min(5)));
-            }
+        let stop = Arc::new(AtomicBool::new(false));
+        let mut acceptors: Vec<Acceptor> = Vec::new();
+        if let Some(l) = self.tcp.take() {
+            let addr = wake_addr(l.local_addr()?);
+            let accept = move || {
+                let (s, _) = l.accept()?;
+                s.set_read_timeout(Some(READ_TIMEOUT))?;
+                Ok(s)
+            };
+            acceptors.push((
+                spawn_acceptor(accept, "tcp", &tx, &stop),
+                Box::new(move || drop(TcpStream::connect(addr))),
+            ));
+        }
+        if let (Some(l), Some(path)) = (self.unix.take(), self.cfg.unix.clone()) {
+            let accept = move || {
+                let (s, _) = l.accept()?;
+                s.set_read_timeout(Some(READ_TIMEOUT))?;
+                Ok(s)
+            };
+            acceptors.push((
+                spawn_acceptor(accept, "unix", &tx, &stop),
+                Box::new(move || drop(UnixStream::connect(&path))),
+            ));
+        }
+        self.serve(&rx);
+        stop.store(true, Ordering::SeqCst);
+        for (_, wake) in &acceptors {
+            wake();
+        }
+        for (thread, _) in acceptors {
+            thread
+                .join()
+                .map_err(|_| std::io::Error::other("acceptor thread panicked"))?;
         }
         Ok(std::mem::take(&mut self.stats))
+    }
+
+    /// The core loop: blocks until a socket job arrives, the spool is due
+    /// for a scan, or the idle deadline passes, and runs jobs one at a
+    /// time in arrival order, writing each reply before the next step.
+    fn serve(&mut self, rx: &mpsc::Receiver<SocketJob>) {
+        let poll = Duration::from_millis(self.cfg.poll_ms.max(1));
+        let idle = self.cfg.idle_exit_ms.map(Duration::from_millis);
+        let mut last_submission = Instant::now();
+        let mut next_scan = self.cfg.spool.is_some().then(Instant::now);
+        loop {
+            if self
+                .cfg
+                .max_jobs
+                .is_some_and(|max| self.stats.processed() >= max)
+                || idle.is_some_and(|d| last_submission.elapsed() >= d)
+            {
+                return;
+            }
+            if next_scan.is_some_and(|t| Instant::now() >= t) {
+                if self.scan_spool() {
+                    last_submission = Instant::now();
+                }
+                next_scan = Some(Instant::now() + poll);
+                continue;
+            }
+            let deadline = [next_scan, idle.map(|d| last_submission + d)]
+                .into_iter()
+                .flatten()
+                .min();
+            // `run` holds a sender throughout, so neither receive can see
+            // a disconnect.
+            let job = match deadline {
+                None => rx.recv().ok(),
+                Some(t) => rx
+                    .recv_timeout(t.saturating_duration_since(Instant::now()))
+                    .ok(),
+            };
+            if let Some(mut job) = job {
+                let reply = match job.line {
+                    Ok(text) => self.execute(&text, job.source),
+                    Err(e) => self.reject(job.source, e),
+                };
+                // A client that hung up just loses its reply.
+                let _ = write_reply(&mut job.conn, &reply);
+                last_submission = Instant::now();
+            }
+        }
     }
 
     /// Ingests every `*.json` file in the spool directory, in sorted-name
@@ -298,17 +358,10 @@ impl Server {
         shm_obs::counter!("serve.jobs");
         let manifest = match Manifest::from_json(text) {
             Ok(m) => m,
-            Err(e) => {
-                self.stats.rejected += 1;
-                self.log(&Event::Rejected {
-                    source: source.into(),
-                    error: e.clone(),
-                });
-                return Reply::error(&e);
-            }
+            Err(e) => return self.reject(source, e),
         };
         let job_id = manifest.job_id();
-        let result_path = self.cfg.results_dir.join(format!("{job_id}.json"));
+        let result_path = result_path(&self.cfg.results_dir, &job_id);
         if let Some(sha) = self.completed.get(&job_id) {
             if let Ok(body) = std::fs::read(&result_path) {
                 shm_obs::counter!("serve.dedup");
@@ -333,7 +386,7 @@ impl Server {
             Ok(result) => {
                 let body = result.into_bytes();
                 let sha = shm_scenario::content_hash(&body);
-                if let Err(e) = std::fs::write(&result_path, &body) {
+                if let Err(e) = write_atomically(&result_path, &body) {
                     eprintln!("serve: write {}: {e}", result_path.display());
                 }
                 self.log(&Event::Completed {
@@ -368,8 +421,19 @@ impl Server {
         }
     }
 
-    fn log(&self, event: &Event) {
-        if let Err(e) = joblog::append(&self.cfg.joblog, event) {
+    /// Records and answers a submission refused before it had a job ID.
+    fn reject(&mut self, source: &str, error: ManifestError) -> Reply {
+        self.stats.rejected += 1;
+        let reply = Reply::error(&error);
+        self.log(&Event::Rejected {
+            source: source.into(),
+            error,
+        });
+        reply
+    }
+
+    fn log(&mut self, event: &Event) {
+        if let Err(e) = self.log.append(event) {
             eprintln!("serve: append {}: {e}", self.cfg.joblog.display());
         }
     }
@@ -393,24 +457,98 @@ fn panic_text(panic: &Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Serves one socket connection: reads one manifest line and queues it
-/// together with the connection; the core loop executes the job and writes
-/// the reply (`header\n` + `bytes` raw body bytes) before it can exit.
-fn handle_conn<S: Read + Write + SetBlocking + Send + 'static>(
-    stream: S,
+/// Where a job's canonical result bytes live.
+pub(crate) fn result_path(results_dir: &Path, job_id: &str) -> PathBuf {
+    results_dir.join(format!("{job_id}.json"))
+}
+
+/// Writes `body` to `<path>.tmp` and renames it over `path`, so a reader
+/// (or a restarted server) sees either no result file or a complete one.
+/// Not fsynced, like the job log: a crash loses at most an unlogged result,
+/// which the restarted server re-runs.
+fn write_atomically(path: &Path, body: &[u8]) -> std::io::Result<()> {
+    let tmp = path.with_extension("json.tmp");
+    std::fs::write(&tmp, body)?;
+    std::fs::rename(&tmp, path)
+}
+
+/// Prefixes an I/O error with the startup step it came from.
+fn labelled(step: &'static str) -> impl Fn(std::io::Error) -> std::io::Error {
+    move |e| std::io::Error::new(e.kind(), format!("{step}: {e}"))
+}
+
+/// The address a shutdown self-connect reaches a TCP listener on: its own,
+/// with a wildcard IP replaced by loopback.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
+/// Starts a thread that blocks in `accept` and gives every connection a
+/// [`handle_conn`] thread, until `stop` is set and an accept returns (the
+/// shutdown self-connect guarantees one does). The thread owns the
+/// listener through `accept`, so joining it releases the listener.
+fn spawn_acceptor<S: Read + Write + Send + 'static>(
+    mut accept: impl FnMut() -> std::io::Result<S> + Send + 'static,
+    source: &'static str,
+    tx: &mpsc::Sender<SocketJob>,
+    stop: &Arc<AtomicBool>,
+) -> JoinHandle<()> {
+    let (tx, stop) = (tx.clone(), Arc::clone(stop));
+    std::thread::spawn(move || loop {
+        let conn = accept();
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match conn {
+            Ok(stream) => {
+                let tx = tx.clone();
+                std::thread::spawn(move || handle_conn(stream, source, &tx));
+            }
+            // Out of descriptors or similar: back off instead of spinning.
+            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+        }
+    })
+}
+
+/// Serves one socket connection: reads one manifest line of at most
+/// [`MAX_LINE_BYTES`] and queues it together with the connection; the
+/// core loop executes the job and writes the reply (`header\n` + `bytes`
+/// raw body bytes) before it can exit. A connection that sends nothing,
+/// or stalls past the stream's read timeout, is dropped without a reply.
+fn handle_conn<S: Read + Write + Send + 'static>(
+    mut stream: S,
     source: &'static str,
     tx: &mpsc::Sender<SocketJob>,
 ) {
-    let mut stream = stream;
-    // Accepted sockets may inherit the listener's nonblocking flag.
-    let _ = stream.set_blocking();
-    let mut reader = BufReader::new(&mut stream);
-    let mut line = String::new();
-    if reader.read_line(&mut line).is_err() || line.trim().is_empty() {
+    let mut bytes = Vec::new();
+    let limited = (&mut stream).take(MAX_LINE_BYTES);
+    if BufReader::new(limited)
+        .read_until(b'\n', &mut bytes)
+        .is_err()
+    {
         return;
     }
+    let line = if bytes.len() as u64 == MAX_LINE_BYTES && bytes.last() != Some(&b'\n') {
+        Err(ManifestError {
+            code: "line_too_long",
+            field: String::new(),
+            message: format!("manifest line exceeds {MAX_LINE_BYTES} bytes"),
+        })
+    } else {
+        let text = String::from_utf8_lossy(&bytes).into_owned();
+        if text.trim().is_empty() {
+            return;
+        }
+        Ok(text)
+    };
     let _ = tx.send(SocketJob {
-        text: line,
+        line,
         source,
         conn: Box::new(stream),
     });
@@ -421,23 +559,6 @@ fn write_reply<W: Write>(w: &mut W, reply: &Reply) -> std::io::Result<()> {
     w.write_all(b"\n")?;
     w.write_all(&reply.body)?;
     w.flush()
-}
-
-/// The one stream capability the handler needs beyond Read+Write.
-trait SetBlocking {
-    fn set_blocking(&mut self) -> std::io::Result<()>;
-}
-
-impl SetBlocking for TcpStream {
-    fn set_blocking(&mut self) -> std::io::Result<()> {
-        self.set_nonblocking(false)
-    }
-}
-
-impl SetBlocking for UnixStream {
-    fn set_blocking(&mut self) -> std::io::Result<()> {
-        self.set_nonblocking(false)
-    }
 }
 
 /// Reads one framed reply from a server stream: the header line, then
