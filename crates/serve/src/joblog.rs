@@ -20,8 +20,9 @@
 //! unterminated. An event counts only once its newline is in the file:
 //! [`JobLog::open`] truncates an unterminated final line back to the last
 //! `\n`, so its event never happened (a job whose `completed` line was
-//! torn simply re-runs), while a malformed *terminated* line anywhere in
-//! the log stays fatal.
+//! torn simply re-runs), and [`read_all`] (behind `shm-serve replay`)
+//! skips it without touching the file. A malformed *terminated* line
+//! anywhere in the log stays fatal.
 
 use shm_scenario::json::{self, Value};
 use shm_scenario::{Manifest, ManifestError};
@@ -236,7 +237,7 @@ impl JobLog {
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)
             .map_err(|e| format!("read {}: {e}", path.display()))?;
-        let keep = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        let keep = terminated_len(&bytes);
         if keep < bytes.len() {
             file.set_len(keep as u64)
                 .map_err(|e| format!("truncate {}: {e}", path.display()))?;
@@ -245,12 +246,9 @@ impl JobLog {
                 bytes.len() - keep,
                 path.display(),
             );
-            bytes.truncate(keep);
         }
-        let text =
-            String::from_utf8(bytes).map_err(|e| format!("{}: not UTF-8: {e}", path.display()))?;
         log.file = Some(file);
-        Ok((log, parse_lines(path, &text)?))
+        Ok((log, parse_lines(path, &bytes[..keep])?))
     }
 
     /// Appends one event as a single write of its line and newline.
@@ -270,18 +268,36 @@ impl JobLog {
     }
 }
 
-/// Parses every line of a job log without modifying it. Empty/missing file
-/// parses to no events.
+/// Parses every terminated line of a job log without modifying it: an
+/// unterminated final line (a torn append, which [`JobLog::open`] would
+/// truncate) is skipped with a stderr note. Empty/missing file parses to
+/// no events.
 pub fn read_all(path: &Path) -> Result<Vec<Event>, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
+    let bytes = match std::fs::read(path) {
+        Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(format!("read {}: {e}", path.display())),
     };
-    parse_lines(path, &text)
+    let keep = terminated_len(&bytes);
+    if keep < bytes.len() {
+        eprintln!(
+            "shm-serve: joblog: ignoring a torn final line ({} bytes) of {}",
+            bytes.len() - keep,
+            path.display(),
+        );
+    }
+    parse_lines(path, &bytes[..keep])
 }
 
-fn parse_lines(path: &Path, text: &str) -> Result<Vec<Event>, String> {
+/// Length of `bytes` up to and including its last `\n`: the part of a log
+/// whose events were fully appended.
+fn terminated_len(bytes: &[u8]) -> usize {
+    bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1)
+}
+
+fn parse_lines(path: &Path, bytes: &[u8]) -> Result<Vec<Event>, String> {
+    let text =
+        std::str::from_utf8(bytes).map_err(|e| format!("{}: not UTF-8: {e}", path.display()))?;
     text.lines()
         .enumerate()
         .filter(|(_, l)| !l.trim().is_empty())
@@ -348,7 +364,14 @@ mod tests {
         let path = std::env::temp_dir().join(format!("joblog-torn-{}.jsonl", std::process::id()));
         let line = rejected().to_line();
         let whole = format!("{line}\n{line}\n");
-        std::fs::write(&path, format!("{whole}{}", &line[..20])).unwrap();
+        let torn = format!("{whole}{}", &line[..20]);
+        std::fs::write(&path, &torn).unwrap();
+        assert_eq!(read_all(&path).expect("torn tail skipped").len(), 2);
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            torn,
+            "read_all writes nothing"
+        );
         let (mut log, events) = JobLog::open(&path).expect("torn tail recovers");
         assert_eq!(events.len(), 2);
         assert_eq!(std::fs::read_to_string(&path).unwrap(), whole);
@@ -358,6 +381,8 @@ mod tests {
         // A malformed terminated line is corruption, not a torn append.
         std::fs::write(&path, format!("{}\n{whole}", &line[..20])).unwrap();
         let err = JobLog::open(&path).unwrap_err();
+        assert!(err.contains("line 1"), "{err}");
+        let err = read_all(&path).unwrap_err();
         assert!(err.contains("line 1"), "{err}");
         let _ = std::fs::remove_file(&path);
     }

@@ -1,6 +1,7 @@
 //! The event-driven serving core: clean shutdown, cached-reply latency,
 //! idle exit, the manifest line cap, and restart recovery (a torn job-log
-//! tail, stale temporary result files, fatal mid-log corruption).
+//! tail, stale temporary result files, fatal mid-log corruption), plus
+//! replay over a torn tail.
 //!
 //! The pool thread count is process-global and the server sets it per job,
 //! so every test serializes on one mutex (as in `roundtrip.rs`).
@@ -227,6 +228,51 @@ fn restart_recovers_a_torn_log_tail_and_ignores_stale_temp_results() {
     shm_pool::set_threads(0);
     assert!(report.clean(), "{report:?}");
     assert_eq!(report.verified, 2, "{report:?}");
+}
+
+/// Runs `shm-serve replay` over `joblog` and `results`, returning its exit
+/// code, stdout and stderr.
+fn replay_cli(joblog: &Path, results: &Path) -> (Option<i32>, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_shm-serve"))
+        .arg("replay")
+        .arg("--joblog")
+        .arg(joblog)
+        .arg("--results")
+        .arg(results)
+        .output()
+        .expect("launch shm-serve");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn replay_skips_a_torn_final_line_without_modifying_the_log() {
+    let _guard = POOL_LOCK.lock().unwrap();
+    let dir = scratch("replay-torn");
+    serve_unix(unix_config(&dir, 1), &[E5]);
+    let joblog = dir.join("JOBLOG.jsonl");
+    let results = dir.join("results");
+    let (code, clean_report, _) = replay_cli(&joblog, &results);
+    assert_eq!(code, Some(0), "{clean_report}");
+
+    let mut torn = std::fs::read(&joblog).unwrap();
+    torn.extend_from_slice(br#"{"schema":"cc-dsm/joblog/v1","event":"compl"#);
+    std::fs::write(&joblog, &torn).unwrap();
+    let (code, report, stderr) = replay_cli(&joblog, &results);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(
+        report, clean_report,
+        "same report as the log cut at its last newline"
+    );
+    assert!(stderr.contains("ignoring a torn final line"), "{stderr}");
+    assert_eq!(
+        std::fs::read(&joblog).unwrap(),
+        torn,
+        "replay leaves the log as it was"
+    );
 }
 
 #[test]

@@ -261,7 +261,7 @@ impl EventLog {
 
     /// Visits events `start..len` through plain slice loops — the hot-path
     /// counterpart of [`EventLog::iter_from`] for consumers (the fingerprint
-    /// flush runs once per step batch) where the chained iterator's per-next
+    /// folds over the pending tail) where the chained iterator's per-next
     /// branching shows up in profiles.
     #[inline]
     fn for_each_from(&self, start: usize, mut f: impl FnMut(&Event)) {
@@ -354,10 +354,6 @@ impl Drop for EventLog {
     }
 }
 
-/// Maximum number of appended events the rolling-hash fold may lag behind
-/// the log; bounds what an on-demand fingerprint read has to scan.
-const PENDING_MAX: usize = 64;
-
 /// The event log of one execution.
 ///
 /// A `History` corresponds to the paper's history `H`: a finite sequence of
@@ -375,18 +371,19 @@ const PENDING_MAX: usize = 64;
 /// adversary's survivor certification from an O(history) event comparison
 /// into an O(1) hash comparison.
 ///
-/// Fingerprint maintenance is *adaptive*. A fresh history folds each pushed
-/// event into the rolling hashes inline, while the event is still in
-/// registers — the straight-line stepping hot path, where a deferred fold
-/// would have to re-decode every event from the log a second time. The
-/// first [`History::rewind`] switches the history to deferred mode: `push`
-/// then does no hash work at all and the folds run in [`PENDING_MAX`]-sized
-/// batches (or on demand at a read, which folds the bounded lag on the fly).
-/// Checkpoint-rewind consumers — the schedule-space explorer — mostly roll
-/// pushed events back before any fingerprint is read, so deferring saves
-/// their folds entirely. Reads observe exactly the same values in both
-/// modes: the fold is associative over the append order, which batching
-/// preserves.
+/// Fingerprints are **folded on read**: `push` only appends, and the
+/// pending tail — the events after `fp_applied` — is folded into the
+/// rolling hashes when something reads them. [`History::flush`] folds it
+/// for good; the simulator calls it on its `&mut` paths (checkpoints and
+/// the incremental state fingerprint). `&self` reads fold the tail on the
+/// fly without storing the result, so a reader that needs every process
+/// takes [`History::fingerprints`] (one pass over the tail) rather than
+/// [`History::fingerprint`] per process (one pass each). Straight-line
+/// runs that never read a fingerprint — most of the experiments — never
+/// fold, and a checkpoint-rewind explorer skips the folds of every event
+/// it rolls back before a read. Every read sees the same values whenever
+/// the folds ran: the fold is sequential over the append order, which
+/// deferring preserves.
 #[derive(Clone, Debug, Default)]
 pub struct History {
     events: EventLog,
@@ -394,21 +391,16 @@ pub struct History {
     /// `events[..fp_applied]`. Grown on demand; missing entries mean "no
     /// projected events yet".
     proj_hash: Vec<u128>,
-    /// Number of leading log events already folded into `proj_hash`.
-    /// Equal to `events.len()` in eager mode; in deferred mode events
-    /// `fp_applied..len` are folded lazily (batched in `push`, or on the
-    /// fly by fingerprint reads).
+    /// Number of leading log events already folded into `proj_hash`;
+    /// events `fp_applied..len` are the pending tail.
     fp_applied: usize,
-    /// `true` = deferred (batched) fold mode, entered on the first rewind
-    /// and never left; `false` (the default) = eager inline folds on push.
-    lazy_fp: bool,
 }
 
 /// Odd multiplier for the polynomial fingerprint (random 128-bit constant).
 pub(crate) const FP_MUL: u128 = 0x9ddf_ea08_eb38_2d69_a54f_f53a_5f1d_36f1;
 
 /// Fingerprint of the empty projection.
-const FP_EMPTY: u128 = 0;
+pub(crate) const FP_EMPTY: u128 = 0;
 
 #[inline]
 pub(crate) fn fp_absorb(h: u128, word: u64) -> u128 {
@@ -462,7 +454,6 @@ impl History {
             events: EventLog::default(),
             proj_hash: hashes,
             fp_applied: 0,
-            lazy_fp: false,
         }
     }
 
@@ -472,7 +463,7 @@ impl History {
     /// fingerprints already cover the whole spliced log). Sealed chunks of
     /// the prefix below the cut are shared, not copied.
     pub(crate) fn spliced(prefix: &History, prefix_len: usize, mut suffix: History) -> Self {
-        suffix.flush_fingerprints();
+        suffix.flush();
         let mut events = prefix.events.prefix_of(prefix_len);
         events.extend_cloned(&suffix.events);
         let fp_applied = events.len();
@@ -480,7 +471,6 @@ impl History {
             events,
             proj_hash: suffix.proj_hash,
             fp_applied,
-            lazy_fp: prefix.lazy_fp,
         }
     }
 
@@ -491,7 +481,7 @@ impl History {
     /// counterpart of [`History::spliced`].
     pub(crate) fn splice_tail(&mut self, keep: usize, mut suffix: History) {
         assert!(keep <= self.events.len(), "splice_tail past the end");
-        suffix.flush_fingerprints();
+        suffix.flush();
         self.events.truncate(keep);
         self.events.extend_cloned(&suffix.events);
         self.proj_hash = suffix.proj_hash;
@@ -506,7 +496,7 @@ impl History {
     /// under the erasure (Lemma 6.7), which is exactly when the simulator's
     /// in-place erase uses it.
     pub(crate) fn erase_pids(&mut self, gone: &[bool]) {
-        self.flush_fingerprints();
+        self.flush();
         self.events
             .retain(|e| !gone.get(e.pid().index()).copied().unwrap_or(false));
         self.fp_applied = self.events.len();
@@ -519,18 +509,12 @@ impl History {
 
     /// Rewinds to `len` events, resetting fingerprints to `hashes` (the
     /// fingerprint state recorded when the history had `len` events).
-    ///
-    /// Also switches the history into deferred-fold mode for good: a caller
-    /// that rewinds (the checkpoint-restore explorer) usually rolls pushed
-    /// events back before reading a fingerprint, so folding them eagerly at
-    /// push would be wasted work.
     pub(crate) fn rewind(&mut self, len: usize, hashes: &[u128]) {
         assert!(len <= self.events.len(), "rewind past the end");
         self.events.truncate(len);
         self.proj_hash.clear();
         self.proj_hash.extend_from_slice(hashes);
         self.fp_applied = len;
-        self.lazy_fp = true;
     }
 
     /// The projected words of an event, or `None` for events outside the
@@ -552,51 +536,53 @@ impl History {
         }
     }
 
-    /// Folds every not-yet-applied log event into the rolling hashes.
-    fn flush_fingerprints(&mut self) {
-        let Self {
-            events,
-            proj_hash,
-            fp_applied,
-            ..
-        } = self;
-        events.for_each_from(*fp_applied, |e| {
+    /// Folds events `from..` of `events` into `hashes` (indexed by pid,
+    /// grown on demand).
+    fn fold_from(events: &EventLog, from: usize, hashes: &mut Vec<u128>) {
+        events.for_each_from(from, |e| {
             if let Some((pid, words)) = Self::fp_words(e) {
                 let i = pid.index();
-                if proj_hash.len() <= i {
-                    proj_hash.resize(i + 1, FP_EMPTY);
+                if hashes.len() <= i {
+                    hashes.resize(i + 1, FP_EMPTY);
                 }
-                let mut h = proj_hash[i];
+                let mut h = hashes[i];
                 for w in words {
                     h = fp_absorb(h, w);
                 }
-                proj_hash[i] = h;
+                hashes[i] = h;
             }
         });
-        *fp_applied = events.len();
+    }
+
+    /// Folds the pending tail into the rolling hashes, so later reads cost
+    /// O(1) per process until the next push.
+    pub(crate) fn flush(&mut self) {
+        Self::fold_from(&self.events, self.fp_applied, &mut self.proj_hash);
+        self.fp_applied = self.events.len();
     }
 
     /// The rolling fingerprint of [`History::projection`]`(pid)`. Equal
     /// fingerprints certify equal projections (up to hash collision).
-    /// Folds the (bounded) unapplied batch on the fly.
+    /// Scans the pending tail: O(1) right after a [`History::flush`], but
+    /// a reader of every process should take [`History::fingerprints`].
     #[must_use]
     pub fn fingerprint(&self, pid: ProcId) -> u128 {
         let mut h = self.proj_hash.get(pid.index()).copied().unwrap_or(FP_EMPTY);
-        for e in self.events.iter_from(self.fp_applied) {
-            match Self::fp_words(e) {
+        self.events
+            .for_each_from(self.fp_applied, |e| match Self::fp_words(e) {
                 Some((p, words)) if p == pid => {
                     for w in words {
                         h = fp_absorb(h, w);
                     }
                 }
                 _ => {}
-            }
-        }
+            });
         h
     }
 
     /// All per-process fingerprints (indexed by process; possibly shorter
-    /// than the process count — missing entries are empty projections).
+    /// than the process count — missing entries are empty projections), in
+    /// one pass over the pending tail.
     #[must_use]
     pub fn fingerprints(&self) -> Vec<u128> {
         let mut out = Vec::new();
@@ -609,49 +595,15 @@ impl History {
     pub fn fingerprints_into(&self, out: &mut Vec<u128>) {
         out.clear();
         out.extend_from_slice(&self.proj_hash);
-        for e in self.events.iter_from(self.fp_applied) {
-            if let Some((p, words)) = Self::fp_words(e) {
-                let i = p.index();
-                if out.len() <= i {
-                    out.resize(i + 1, FP_EMPTY);
-                }
-                let mut h = out[i];
-                for w in words {
-                    h = fp_absorb(h, w);
-                }
-                out[i] = h;
-            }
-        }
+        Self::fold_from(&self.events, self.fp_applied, out);
     }
 
-    /// Appends an event (used by the simulator). In the default eager mode
-    /// the event's projected words are folded into the rolling hashes right
-    /// here, while they are still in registers; in deferred mode (after the
-    /// first [`History::rewind`]) the fold runs later, in
-    /// [`PENDING_MAX`]-sized batches. Same values either way — the fold is
-    /// associative over the append order.
+    /// Appends an event (used by the simulator). No hash work: the event
+    /// joins the pending tail that the next read or [`History::flush`]
+    /// folds.
     #[inline]
     pub(crate) fn push(&mut self, e: Event) {
-        if !self.lazy_fp {
-            if let Some((pid, words)) = Self::fp_words(&e) {
-                let i = pid.index();
-                if self.proj_hash.len() <= i {
-                    self.proj_hash.resize(i + 1, FP_EMPTY);
-                }
-                let mut h = self.proj_hash[i];
-                for w in words {
-                    h = fp_absorb(h, w);
-                }
-                self.proj_hash[i] = h;
-            }
-            self.events.push(e);
-            self.fp_applied += 1;
-            return;
-        }
         self.events.push(e);
-        if self.events.len() - self.fp_applied >= PENDING_MAX {
-            self.flush_fingerprints();
-        }
     }
 
     /// All events in order.
@@ -685,7 +637,7 @@ impl History {
     /// maintenance. For audit-layer tamper tests only.
     #[cfg(test)]
     pub(crate) fn events_mut(&mut self) -> impl Iterator<Item = &mut Event> {
-        self.flush_fingerprints();
+        self.flush();
         self.events.iter_mut()
     }
 
@@ -1166,55 +1118,150 @@ mod tests {
         assert_eq!(spliced.fingerprint(ProcId(0)), full.fingerprint(ProcId(0)));
     }
 
-    /// The fold mode must be invisible: a default (eager-fold) history and
-    /// one switched to deferred batching by `rewind` agree with a hand-rolled
-    /// reference at every read — mid-batch, at the flush boundary, and after
-    /// an explicit flush.
+    /// A random event of one of `n` processes, covering every variant.
+    fn random_event(rng: &mut crate::rng::XorShift64, n: u64) -> Event {
+        let pid = ProcId(rng.below(n) as u32);
+        let kind = CallKind(rng.below(3) as u32);
+        match rng.below(8) {
+            0 => Event::Invoke {
+                pid,
+                kind,
+                name: "call",
+            },
+            1 => Event::Return {
+                pid,
+                kind,
+                value: rng.below(4),
+            },
+            2 => Event::Terminate { pid },
+            3 => Event::Crash { pid },
+            _ => {
+                let mut e = access(pid.0, rng.below(3) as u32, rng.chance(1, 2), None, None);
+                if let Event::Access { result, .. } = &mut e {
+                    *result = rng.below(4);
+                }
+                e
+            }
+        }
+    }
+
+    /// Reference fingerprint: the rolling fold of `projection(pid)`
+    /// recomputed from the whole log, with no pending-tail bookkeeping.
+    fn projection_fold(h: &History, pid: ProcId) -> u128 {
+        let mut fp = FP_EMPTY;
+        for pe in h.projection(pid) {
+            let words = match pe {
+                ProjectedEvent::Invoke(k) => [1, u64::from(k.0), 0, 0, 0, 0],
+                ProjectedEvent::Return(k, v) => [2, u64::from(k.0), v, 0, 0, 0],
+                ProjectedEvent::Access(op, r) => {
+                    let [t, a, x, y] = fp_op_words(&op);
+                    [3, t, a, x, y, r]
+                }
+            };
+            for w in words {
+                fp = fp_absorb(fp, w);
+            }
+        }
+        fp
+    }
+
+    /// Fold-on-read is invisible: across random pushes, per-process and
+    /// all-process reads, flushes, rewinds to recorded marks, tail splices
+    /// and erasures, every process's fingerprint equals the fold of its
+    /// projection recomputed from scratch, reads fold nothing for good, and
+    /// a flush leaves no pending tail.
     #[test]
-    fn batched_fingerprints_match_eager_reference() {
-        let mut rng = crate::rng::XorShift64::new(0xBA7C);
+    fn fold_on_read_matches_projection_reference() {
+        const N: u64 = 5;
+        let mut rng = crate::rng::XorShift64::new(0xF01D);
         let mut h = History::new();
-        let mut lazy = History::new();
-        lazy.rewind(0, &[]); // switch to deferred-fold mode
-        assert!(lazy.lazy_fp && !h.lazy_fp);
-        let mut eager: Vec<u128> = Vec::new();
-        for i in 0..(PENDING_MAX * 3 + 7) {
-            let pid = rng.below(4) as u32;
-            let e = access(pid, rng.below(3) as u32, rng.chance(1, 2), None, None);
-            if let Some((p, words)) = History::fp_words(&e) {
-                let j = p.index();
-                if eager.len() <= j {
-                    eager.resize(j + 1, FP_EMPTY);
+        // (length, fingerprints at that length): valid rewind/splice targets.
+        let mut marks: Vec<(usize, Vec<u128>)> = vec![(0, Vec::new())];
+        let (mut seen, mut longest) = ([0usize; 7], 0);
+        for step in 0..1500 {
+            // Erasures drop about a quarter of the log: keep them rare
+            // enough for the log to grow across chunk boundaries.
+            let op = match rng.below(20) {
+                19 if !rng.chance(1, 3) => 0,
+                op => op,
+            };
+            // Rewind and splice targets: mostly recent marks.
+            let recent = marks.len() - 1 - rng.below(marks.len().min(2) as u64) as usize;
+            match op {
+                0..=9 | 18 => {
+                    for _ in 0..=rng.below(24) {
+                        h.push(random_event(&mut rng, N));
+                    }
                 }
-                for w in words {
-                    eager[j] = fp_absorb(eager[j], w);
+                10 => {
+                    let (applied, p) = (h.fp_applied, ProcId(rng.below(N + 1) as u32));
+                    assert_eq!(h.fingerprint(p), projection_fold(&h, p), "read {step}");
+                    assert_eq!(h.fp_applied, applied, "a read does not fold for good");
+                }
+                11 => {
+                    let all = h.fingerprints();
+                    assert!(all.len() as u64 <= N);
+                    for p in 0..N as u32 {
+                        let got = all.get(p as usize).copied().unwrap_or(FP_EMPTY);
+                        assert_eq!(got, projection_fold(&h, ProcId(p)), "all {step}");
+                    }
+                }
+                12 => {
+                    h.flush();
+                    assert_eq!(h.fp_applied, h.len(), "flush leaves no tail");
+                }
+                13..=15 => marks.push((h.len(), h.fingerprints())),
+                16 => {
+                    let (len, hashes) = &marks[recent];
+                    h.rewind(*len, hashes);
+                    let len = *len;
+                    marks.retain(|m| m.0 <= len);
+                }
+                17 => {
+                    let (keep, hashes) = marks[recent].clone();
+                    let mut suffix = History::seeded(hashes);
+                    for _ in 0..rng.below(40) {
+                        suffix.push(random_event(&mut rng, N));
+                    }
+                    h.splice_tail(keep, suffix);
+                    marks.retain(|m| m.0 <= keep);
+                }
+                _ => {
+                    let gone: Vec<bool> = (0..N).map(|_| rng.chance(1, 4)).collect();
+                    h.erase_pids(&gone);
+                    for (p, &g) in gone.iter().enumerate() {
+                        if g {
+                            assert!(h.events().all(|e| e.pid().index() != p));
+                        }
+                    }
+                    // Event positions shifted: only the empty prefix stays a
+                    // valid mark.
+                    marks.truncate(1);
                 }
             }
-            h.push(e.clone());
-            lazy.push(e);
-            assert_eq!(h.fp_applied, h.len(), "eager mode never lags");
-            if i % 17 == 0 {
-                for p in 0..4u32 {
-                    let want = eager.get(p as usize).copied().unwrap_or(FP_EMPTY);
-                    assert_eq!(h.fingerprint(ProcId(p)), want, "eager read at {i}");
-                    assert_eq!(lazy.fingerprint(ProcId(p)), want, "mid-batch read at {i}");
-                }
+            seen[match op {
+                0..=9 | 18 => 0,
+                10 => 1,
+                11 => 2,
+                12 => 3,
+                13..=16 => 4,
+                17 => 5,
+                _ => 6,
+            }] += 1;
+            for p in 0..N as u32 {
+                let p = ProcId(p);
+                assert_eq!(h.fingerprint(p), projection_fold(&h, p), "step {step} {p}");
             }
+            longest = longest.max(h.len());
         }
-        assert!(lazy.fp_applied >= PENDING_MAX * 3, "batch flushes ran");
-        h.flush_fingerprints();
-        lazy.flush_fingerprints();
-        for p in 0..4u32 {
-            let want = eager.get(p as usize).copied().unwrap_or(FP_EMPTY);
-            assert_eq!(h.fingerprint(ProcId(p)), want, "post-flush read");
-            assert_eq!(lazy.fingerprint(ProcId(p)), want, "post-flush lazy read");
-        }
-        let all = h.fingerprints();
-        let all_lazy = lazy.fingerprints();
-        for p in 0..4usize {
-            assert_eq!(all[p], eager[p]);
-            assert_eq!(all_lazy[p], eager[p]);
-        }
+        assert!(
+            seen.iter().all(|&c| c > 20),
+            "every operation ran: {seen:?}"
+        );
+        assert!(
+            longest > 2 * CHUNK,
+            "the log crossed chunk boundaries: {longest}"
+        );
     }
 
     /// The chunked log behaves exactly like a flat `Vec` across chunk

@@ -92,12 +92,23 @@ impl Scheduler for SeededRandom {
 /// (change point `i` assigns priority `d − 1 − i`, so later drops sink
 /// further), and the choice is re-evaluated.
 ///
+/// The pick is O(1) amortized: processes are kept in descending priority
+/// order behind a cursor that only moves past processes that are no longer
+/// runnable, and the order is re-sorted only at the `d − 1` change points.
+/// This relies on a process never becoming runnable again while one
+/// scheduler drives a simulator (terminated and crashed are final under
+/// [`run`]); a debug assertion checks it on every pick.
+///
 /// Deterministic for a fixed `(seed, n, d, k)`, so a PCT run is replayable
 /// from its parameters alone.
 #[derive(Clone, Debug)]
 pub struct PctScheduler {
     /// Priority per process; higher wins. Distinct by construction.
     prio: Vec<u64>,
+    /// Every process, by descending priority.
+    order: Vec<ProcId>,
+    /// Entries of `order` before this index are no longer runnable.
+    cursor: usize,
     /// Sorted step indices at which the next scheduled process is deprioritized.
     change_at: Vec<u64>,
     /// Change points already consumed.
@@ -125,20 +136,41 @@ impl PctScheduler {
         }
         let mut change_at: Vec<u64> = (0..d - 1).map(|_| rng.below(k.max(1))).collect();
         change_at.sort_unstable();
-        PctScheduler {
+        let mut sched = PctScheduler {
             prio,
+            order: (0..n).map(|i| ProcId(i as u32)).collect(),
+            cursor: 0,
             change_at,
             next_change: 0,
             steps: 0,
-        }
+        };
+        sched.rank();
+        sched
+    }
+
+    /// Sorts `order` by descending priority and rewinds the cursor.
+    fn rank(&mut self) {
+        let prio = &self.prio;
+        self.order
+            .sort_unstable_by_key(|p| std::cmp::Reverse(prio[p.index()]));
+        self.cursor = 0;
     }
 
     /// The highest-priority runnable process, if any.
-    fn best(&self, sim: &Simulator) -> Option<ProcId> {
-        (0..self.prio.len())
-            .map(|i| ProcId(i as u32))
-            .filter(|&p| sim.is_runnable(p))
-            .max_by_key(|p| self.prio[p.index()])
+    fn best(&mut self, sim: &Simulator) -> Option<ProcId> {
+        debug_assert!(
+            self.order[..self.cursor]
+                .iter()
+                .all(|&p| !sim.is_runnable(p)),
+            "PCT: a process became runnable again mid-run"
+        );
+        while let Some(&p) = self.order.get(self.cursor) {
+            if sim.is_runnable(p) {
+                return Some(p);
+            }
+            self.cursor += 1;
+        }
+        None
     }
 }
 
@@ -152,6 +184,7 @@ impl Scheduler for PctScheduler {
         {
             self.prio[pid.index()] = (self.change_at.len() - self.next_change) as u64 - 1;
             self.next_change += 1;
+            self.rank();
             pid = self.best(sim)?;
         }
         self.steps += 1;
@@ -363,6 +396,83 @@ mod tests {
                 seen_done.push(w[0]);
             }
         }
+    }
+
+    /// Like [`spec_with_counter_writers`], but process `i` performs
+    /// `lens[i]` increments, so processes terminate at different steps.
+    fn spec_with_lengths(lens: &[usize]) -> SimSpec {
+        let mut layout = MemLayout::new();
+        let c = layout.alloc_global(0);
+        let sources = lens
+            .iter()
+            .map(|&len| {
+                let call = ScriptedCall::new(
+                    CallKind(0),
+                    "inc",
+                    Arc::new(move || Box::new(OpSequence::new(vec![Op::Faa(c, 1); len]))),
+                );
+                Box::new(Script::new(vec![call])) as Box<dyn crate::source::CallSource>
+            })
+            .collect();
+        SimSpec {
+            layout,
+            sources,
+            model: CostModel::Dsm,
+        }
+    }
+
+    /// The cursor pick equals the direct O(n) pick — the highest-priority
+    /// runnable process by `max_by_key`, with the same change-point rule —
+    /// at every step, across seeds, population sizes, depths, change points
+    /// inside the run, and processes terminating along the way.
+    #[test]
+    fn pct_cursor_pick_matches_max_by_key_reference() {
+        let mut rng = XorShift64::new(0x9C7);
+        let mut changes_inside = 0;
+        for &n in &[1usize, 2, 9, 33] {
+            for d in 1..=3usize {
+                for _ in 0..8 {
+                    let lens: Vec<usize> = (0..n).map(|_| 1 + rng.below(12) as usize).collect();
+                    let spec = spec_with_lengths(&lens);
+                    let mut probe = crate::sim::Simulator::new(&spec);
+                    let k = run(&mut probe, &mut RoundRobin::new(), u64::MAX);
+                    let seed = rng.next_u64();
+                    let mut sched = PctScheduler::new(seed, n, d, k);
+                    // The reference: the scheduler's own priorities and
+                    // change points, picked by a full scan every step.
+                    let mut prio = sched.prio.clone();
+                    let change_at = sched.change_at.clone();
+                    let mut next_change = 0;
+                    let best = |prio: &[u64], sim: &crate::sim::Simulator| {
+                        (0..n)
+                            .map(|i| ProcId(i as u32))
+                            .filter(|&p| sim.is_runnable(p))
+                            .max_by_key(|p| prio[p.index()])
+                    };
+                    let mut sim = crate::sim::Simulator::new(&spec);
+                    for step in 0u64.. {
+                        let mut want = best(&prio, &sim);
+                        while let Some(p) = want {
+                            if next_change == change_at.len() || step < change_at[next_change] {
+                                break;
+                            }
+                            prio[p.index()] = (change_at.len() - next_change) as u64 - 1;
+                            next_change += 1;
+                            want = best(&prio, &sim);
+                        }
+                        let got = sched.next(&sim);
+                        assert_eq!(got, want, "seed {seed} n {n} d {d} step {step}");
+                        let Some(p) = got else { break };
+                        sim.step(p);
+                    }
+                    assert!(sim.all_done());
+                    if d > 1 && next_change == d - 1 {
+                        changes_inside += 1;
+                    }
+                }
+            }
+        }
+        assert!(changes_inside > 40, "change points fired mid-run");
     }
 
     #[test]

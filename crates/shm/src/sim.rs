@@ -1,7 +1,7 @@
 //! The simulator: deterministic execution of step machines over shared
 //! memory with exact cost accounting, schedule recording, and replay.
 
-use crate::event::{fp_absorb, Event, History};
+use crate::event::{fp_absorb, Event, History, FP_EMPTY};
 use crate::ids::{ProcId, Word};
 use crate::machine::{Call, CallKind, Step};
 use crate::mem::{MemLayout, Memory};
@@ -279,6 +279,16 @@ pub struct Simulator {
     fp: FpCache,
 }
 
+/// Whether every process outside `batch` has the same projection
+/// fingerprint in `a` and `b` — Lemma 6.7's survivor condition, read in one
+/// pass over each history's pending tail.
+fn survivors_agree(a: &History, b: &History, batch: &BTreeSet<ProcId>) -> bool {
+    let (fa, fb) = (a.fingerprints(), b.fingerprints());
+    let at = |f: &[u128], i: usize| f.get(i).copied().unwrap_or(FP_EMPTY);
+    (0..fa.len().max(fb.len()))
+        .all(|i| batch.contains(&ProcId(i as u32)) || at(&fa, i) == at(&fb, i))
+}
+
 impl Simulator {
     /// Maximum internal transitions `peek_next_op` will look through before
     /// concluding the process loops forever without accessing memory.
@@ -504,6 +514,7 @@ impl Simulator {
                 return;
             }
         }
+        self.history.flush();
         let snap = self.snapshot();
         self.checkpoints.push(Arc::new(snap));
     }
@@ -819,10 +830,7 @@ impl Simulator {
     #[must_use]
     pub fn erase_certified(&self, spec: &SimSpec, batch: &BTreeSet<ProcId>) -> Option<Simulator> {
         let (tail, start, prefix_events) = self.replay_tail(spec, batch, true)?;
-        let survives = (0..self.n()).map(|i| ProcId(i as u32)).all(|p| {
-            batch.contains(&p) || tail.history.fingerprint(p) == self.history.fingerprint(p)
-        });
-        if !survives {
+        if !survivors_agree(&tail.history, &self.history, batch) {
             return None;
         }
         let mut sim = tail;
@@ -1080,10 +1088,7 @@ impl Simulator {
         let Some((tail, start, prefix_events)) = self.replay_tail(spec, batch, true) else {
             return false;
         };
-        let survives = (0..self.n()).map(|i| ProcId(i as u32)).all(|p| {
-            batch.contains(&p) || tail.history.fingerprint(p) == self.history.fingerprint(p)
-        });
-        if !survives {
+        if !survivors_agree(&tail.history, &self.history, batch) {
             return false;
         }
         let mut tail = tail;
@@ -1643,8 +1648,9 @@ impl Simulator {
                 + CELL_WORDS * self.memory.len()
                 + self.cost.max_state_words(),
         );
+        let fps = self.history.fingerprints();
         for i in 0..self.procs.len() {
-            out.extend(self.proc_words(i));
+            out.extend(self.proc_words(i, fps.get(i).copied().unwrap_or(FP_EMPTY)));
         }
         for a in 0..self.memory.len() {
             out.extend(self.cell_words(a));
@@ -1653,10 +1659,10 @@ impl Simulator {
         out
     }
 
-    /// Process `i`'s block of [`Simulator::state_words`].
-    fn proc_words(&self, i: usize) -> [u64; PROC_WORDS] {
+    /// Process `i`'s block of [`Simulator::state_words`], given its
+    /// projection fingerprint `fp`.
+    fn proc_words(&self, i: usize, fp: u128) -> [u64; PROC_WORDS] {
         let p = &self.procs[i];
-        let fp = self.history.fingerprint(ProcId(i as u32));
         // Option<Word> as (presence, value) pairs: Word is the full u64
         // range (NIL = u64::MAX), so a +1 offset encoding would overflow.
         [
@@ -1693,9 +1699,10 @@ impl Simulator {
     }
 
     /// Hash of block `b` of the state encoding (processes, then cells).
+    /// Runs after a history flush, so the fingerprint read is O(1).
     fn block_hash(&self, b: usize) -> u128 {
         match b.checked_sub(self.procs.len()) {
-            None => hash_block(&self.proc_words(b)),
+            None => hash_block(&self.proc_words(b, self.history.fingerprint(ProcId(b as u32)))),
             Some(a) => hash_block(&self.cell_words(a)),
         }
     }
@@ -1736,9 +1743,10 @@ impl Simulator {
         h
     }
 
-    /// Rehashes the fingerprint cache's stale blocks, or builds the cache
-    /// if it is off.
+    /// Folds the history's pending tail, then rehashes the fingerprint
+    /// cache's stale blocks, or builds the cache if it is off.
     fn freshen_fp(&mut self) {
+        self.history.flush();
         let mut fp = std::mem::take(&mut self.fp);
         if fp.is_live() {
             fp.refresh(|b| self.block_hash(b));
